@@ -32,7 +32,7 @@ Environment knobs:
   Benchmarks that honor it can dump the metrics/trace artifacts via
   :func:`dump_obs_artifacts`.
 * ``REPRO_SNAPSHOT`` -- snapshot mechanism for shared-prefix sweeps
-  (``auto``/``fork``/``deepcopy``/``cold``; see
+  (``auto``/``fork``/``cold``; see
   :mod:`repro.perf.snapshot`).
 * ``REPRO_BENCH_SWEEPS_TRAJECTORY`` -- sweep-speedup trajectory file
   (default ``BENCH_sweeps.json`` at the repo root).

@@ -167,7 +167,7 @@ def chaos_continue(
 
     The kernel must sit exactly at ``faults_from``: the continuation's
     operation sequence is then identical whether ``kernel`` came from
-    a cold :func:`chaos_prefix` call, a fork, or a deepcopy snapshot.
+    a cold :func:`chaos_prefix` call or a fork snapshot.
     """
     if kernel.now != faults_from:
         raise ValueError(
@@ -310,8 +310,8 @@ class NetChaosState:
     Everything :func:`net_chaos_continue` needs to finish the run:
     the cluster (paused at the split point), the replicated channel,
     the optional heartbeat monitor, and the horizon the prefix was
-    built for.  Fork- and deepcopy-snapshot safe: the cluster runs a
-    serial synchronization mode (no worker pool processes).
+    built for.  Fork-snapshot safe: the whole cluster lives in one
+    process.
     """
 
     cluster: object

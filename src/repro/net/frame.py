@@ -60,7 +60,7 @@ class Frame:
     #: Stable per-frame flow identifier, stamped by
     #: :meth:`~repro.net.fieldbus.Fieldbus.queue` from the bus's
     #: arbitration sequence counter (assigned at the cluster's barrier
-    #: merge, so it is identical across sync modes and worker counts).
+    #: merge, so it is identical across sync modes).
     #: Retransmissions keep the original flow id; the cluster trace
     #: exporter uses it to bind a transmit slice to its receive-side
     #: delivery events.  Excluded from equality/hash: two frames with

@@ -3,8 +3,8 @@
 The cluster analogue of :mod:`repro.perf.workloads`: one parameterized
 configuration -- a ring of periodic senders over the 1 Mbit/s fieldbus
 -- measured identically by ``benchmarks/bench_cluster.py`` and the CI
-``cluster-perf-smoke``/``cluster-parallel-smoke`` jobs, so every entry
-in ``BENCH_cluster.json`` is comparable.
+``cluster-perf-smoke`` job, so every entry in ``BENCH_cluster.json``
+is comparable.
 
 The ring topology is deliberately filter-heavy: node *i* broadcasts
 CAN id ``0x100 + i`` but accepts only its predecessor's id, so on an
@@ -18,34 +18,23 @@ frame (111 us of wire time at 1 Mbit/s) every
 idle-heavy regime (tens of milliseconds of silence between frames --
 where adaptive synchronization's window skipping dominates);
 ``u = 0.9`` keeps the bus saturated (every quantum has traffic; the
-win there comes from delivery pre-filtering, loop overhead, and --
-under ``sync="parallel"`` -- running the per-node application work in
-worker shards).
-
-``app_load`` models the *application* compute that real nodes run
-alongside their bus traffic.  ``"none"`` is the bare driver workload
-(kept for the idle-heavy regime, whose whole point is silence);
-``"standard"`` adds :data:`APP_THREADS` periodic compute threads per
-node -- that per-node work is what parallel execution has to win on,
-since the bus itself is inherently serial.  The default ``"auto"``
-picks ``"standard"`` at ``utilization >= 0.3`` and ``"none"`` below.
+win there comes from delivery pre-filtering and loop overhead).
 
 Two measurements per configuration, as in the kernel harness:
 
 * **speed** (:func:`run_cluster_throughput`): wall time and sim-ns
-  per wall-second at ``jobs-only`` recording, GC suspended (parallel
-  pools are pre-started so the fork is setup, not measurement);
+  per wall-second at ``jobs-only`` recording, GC suspended;
 * **behavior** (:func:`cluster_signatures`): per-node sha256
   signatures of the *full* traces plus the delivery timelines and bus
-  counters.  Adaptive and parallel synchronization are only correct
-  if these are byte-identical to lockstep's.
+  counters.  Adaptive synchronization is only correct if these are
+  byte-identical to lockstep's.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import ZERO_OVERHEAD
@@ -60,7 +49,6 @@ __all__ = [
     "CLUSTER_HORIZON_NS",
     "SIGNATURE_HORIZON_NS",
     "FRAME_SIZE",
-    "APP_LOADS",
     "build_ring_cluster",
     "cluster_config",
     "run_cluster_throughput",
@@ -83,32 +71,6 @@ FRAME_SIZE = 8
 #: kernels actually run application code, not just drivers.
 SENDER_COMPUTE_NS = us(10)
 
-#: Application-load shapes (see module docstring).
-APP_LOADS = ("none", "standard")
-
-#: ``app_load="standard"``: per-node periodic compute threads
-#: (count, per-job virtual compute, and staggered periods).
-APP_THREADS = 3
-APP_COMPUTE_NS = us(30)
-APP_PERIODS_NS = (us(200), us(250), us(300))
-
-#: Host-CPU iterations of the per-job checksum churn.  Virtual
-#: ``Compute`` advances the clock for free, so on its own it cannot
-#: model the *host* cost of application code -- the thing worker
-#: shards actually parallelize.  Each app job therefore also runs a
-#: deterministic integer spin (~90 us of real CPU at ~0.09 us/iter),
-#: keeping trace volume unchanged while giving every node a realistic
-#: per-window compute bill.
-APP_SPIN_ITERS = 1000
-
-
-def _app_spin(kern, t):
-    """Deterministic pure-integer churn standing in for app compute."""
-    acc = 0x12345678
-    for _ in range(APP_SPIN_ITERS):
-        acc = (acc * 1103515245 + 12345) & 0xFFFFFFFF
-    return acc
-
 
 def sender_period_ns(nodes: int, utilization: float, bus: Fieldbus) -> int:
     """Period making ``nodes`` senders offer ``utilization`` bus load."""
@@ -116,39 +78,24 @@ def sender_period_ns(nodes: int, utilization: float, bus: Fieldbus) -> int:
     return max(frame_ns + 1, int(nodes * frame_ns / utilization))
 
 
-def resolve_app_load(app_load: str, utilization: float) -> str:
-    """Resolve ``"auto"`` against the regime (see module docstring)."""
-    if app_load == "auto":
-        return "standard" if utilization >= 0.3 else "none"
-    if app_load not in APP_LOADS:
-        raise ValueError(
-            f"app_load {app_load!r}; expected 'auto' or one of {APP_LOADS}"
-        )
-    return app_load
-
-
 def build_ring_cluster(
     nodes: int,
     utilization: float,
     sync: str,
     record: str = "jobs-only",
-    workers: Optional[int] = None,
-    app_load: str = "auto",
 ) -> Cluster:
     """Build (but do not run) the canonical ring cluster.
 
     Per-node received-frame timelines accumulate on each interface's
-    ``rx_timeline`` (``[(local_time, can_id), ...]``) so they live
-    wherever the node's kernel runs; collect them afterwards with
-    ``cluster.rx_timelines()``.
+    ``rx_timeline`` (``[(local_time, can_id), ...]``); collect them
+    afterwards with ``cluster.rx_timelines()``.
     """
     if nodes < 2:
         raise ValueError(f"ring needs at least 2 nodes (got {nodes})")
     if not 0.0 < utilization <= 1.0:
         raise ValueError(f"utilization must be in (0, 1] (got {utilization})")
-    app_load = resolve_app_load(app_load, utilization)
     bus = Fieldbus(1_000_000)
-    cluster = Cluster(bus=bus, sync=sync, workers=workers)
+    cluster = Cluster(bus=bus, sync=sync)
     period = sender_period_ns(nodes, utilization, bus)
     for i in range(nodes):
         name = f"n{i}"
@@ -182,16 +129,6 @@ def build_ring_cluster(
             period=period,
             deadline=period,
         )
-
-        if app_load == "standard":
-            for j in range(APP_THREADS):
-                app_period = APP_PERIODS_NS[j % len(APP_PERIODS_NS)]
-                kernel.create_thread(
-                    f"app{j}-{i}",
-                    Program([Compute(APP_COMPUTE_NS), Call(_app_spin)]),
-                    period=app_period,
-                    deadline=app_period,
-                )
     return cluster
 
 
@@ -201,18 +138,9 @@ def cluster_config(
     sync: str,
     record: str = "jobs-only",
     horizon_ns: int = CLUSTER_HORIZON_NS,
-    workers: int = 0,
-    app_load: str = "auto",
 ) -> Dict:
-    """The measurement configuration fingerprinted into the trajectory.
-
-    ``app_load`` and ``workers`` join the fingerprint only when they
-    actually shape the run (keeps pre-existing config hashes -- and
-    therefore regression baselines -- valid for the unchanged
-    configurations, and makes the trajectory gate compare parallel
-    entries only against entries with the same worker count).
-    """
-    config = {
+    """The measurement configuration fingerprinted into the trajectory."""
+    return {
         "workload": "ring-cluster/8-byte-frames",
         "nodes": nodes,
         "utilization": utilization,
@@ -220,12 +148,6 @@ def cluster_config(
         "horizon_ns": horizon_ns,
         "record": record,
     }
-    resolved = resolve_app_load(app_load, utilization)
-    if resolved != "none":
-        config["app_load"] = resolved
-    if workers:
-        config["workers"] = workers
-    return config
 
 
 def run_cluster_throughput(
@@ -234,22 +156,13 @@ def run_cluster_throughput(
     sync: str,
     record: str = "jobs-only",
     horizon_ns: int = CLUSTER_HORIZON_NS,
-    workers: Optional[int] = None,
-    app_load: str = "auto",
 ) -> Dict:
     """One timed run; returns a trajectory-ready report dict.
 
     Same timing discipline as the kernel harness: full collection,
-    collector suspended across the timed section, restored after.  For
-    ``sync="parallel"`` the worker pool is started *before* the timed
-    section (the fork is one-time setup, not steady-state cost) and the
-    report gains the worker count and per-worker busy wall times.
+    collector suspended across the timed section, restored after.
     """
-    cluster = build_ring_cluster(
-        nodes, utilization, sync, record, workers=workers, app_load=app_load
-    )
-    if sync == "parallel":
-        cluster.start_workers()
+    cluster = build_ring_cluster(nodes, utilization, sync, record)
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -260,11 +173,7 @@ def run_cluster_throughput(
     finally:
         if gc_was_enabled:
             gc.enable()
-    events_popped = cluster.total_events_popped()
-    worker_count = cluster.worker_count
-    worker_stats = cluster.worker_stats()
-    cluster.close()
-    report = {
+    return {
         "sim_ns": horizon_ns,
         "wall_s": wall,
         "throughput_sim_ns_per_s": round(horizon_ns / wall) if wall > 0 else 0,
@@ -272,14 +181,8 @@ def run_cluster_throughput(
         "windows_skipped": cluster.windows_skipped,
         "deliveries_suppressed": cluster.deliveries_suppressed,
         "frames_delivered": cluster.bus.frames_delivered,
-        "events_popped": events_popped,
-        "workers": worker_count,
+        "events_popped": cluster.total_events_popped(),
     }
-    if worker_stats is not None:
-        report["per_worker_busy_s"] = [
-            round(s["busy_s"], 6) for s in worker_stats
-        ]
-    return report
 
 
 def cluster_signatures(
@@ -287,21 +190,17 @@ def cluster_signatures(
     utilization: float,
     sync: str,
     horizon_ns: int = SIGNATURE_HORIZON_NS,
-    workers: Optional[int] = None,
-    app_load: str = "auto",
 ) -> Dict:
     """Full-record behavior fingerprint of one configuration.
 
     Returns per-node full-trace signatures, the per-node delivery
     timelines, and the bus counters -- everything that must be
-    byte-identical between sync modes and across worker counts.
+    byte-identical between sync modes.
     """
-    cluster = build_ring_cluster(
-        nodes, utilization, sync, "full", workers=workers, app_load=app_load
-    )
+    cluster = build_ring_cluster(nodes, utilization, sync, "full")
     cluster.run_until(horizon_ns)
     bus = cluster.bus
-    snapshot = {
+    return {
         "traces": cluster.trace_signatures(include_segments=True),
         "timelines": {
             name: [list(entry) for entry in timeline]
@@ -316,5 +215,3 @@ def cluster_signatures(
         },
         "interfaces": cluster.interface_stats(),
     }
-    cluster.close()
-    return snapshot

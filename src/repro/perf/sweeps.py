@@ -22,7 +22,7 @@ degrades to the serial path -- a gate, not a new dependency.
 are grouped by a :class:`PrefixSpec`, each group's prefix is simulated
 **once**, and the per-point continuations run from checkpoint/restore
 snapshots of it -- with results byte-identical to the cold path in
-every mode (fork / deepcopy / cold).
+both modes (fork / cold).
 """
 
 from __future__ import annotations
@@ -168,49 +168,31 @@ def prefix_map(
         bucket[1].append((index, continuation))
     results: List[Any] = [None] * len(cases)
 
-    def run_cold(spec: PrefixSpec, members) -> None:
-        for index, continuation in members:
-            results[index] = continuation(spec.build())
-
-    def shareable(spec: PrefixSpec, members) -> bool:
-        return spec.t_split > 0 and len(members) > 1
-
-    if mechanism == "fork":
-        servers: Dict[Tuple, _snapshot.SnapshotServer] = {}
-        try:
+    # Fork mode builds one server per group whose prefix is worth
+    # sharing (more than one member, split after t = 0), all up front;
+    # every other group -- and every group in cold mode -- runs cold.
+    servers: Dict[Tuple, _snapshot.SnapshotServer] = {}
+    try:
+        if mechanism == "fork":
             for group_key in order:
                 spec, members = groups[group_key]
-                if shareable(spec, members):
+                if spec.t_split > 0 and len(members) > 1:
                     servers[group_key] = _snapshot.SnapshotServer(
                         spec.build,
                         [continuation for _, continuation in members],
                         children=resolve_workers(children),
                         name=f"prefix{spec.key!r}@{spec.t_split}",
                     )
-            for group_key in order:
-                spec, members = groups[group_key]
-                server = servers.get(group_key)
-                if server is None:
-                    run_cold(spec, members)
-                    continue
-                for (index, _), outcome in zip(members, server.results()):
-                    results[index] = outcome
-        finally:
-            for server in servers.values():
-                server.close()
-    elif mechanism == "deepcopy":
-        cache = _snapshot.SnapshotCache(capacity=max(1, len(groups)))
         for group_key in order:
             spec, members = groups[group_key]
-            if shareable(spec, members):
+            server = servers.get(group_key)
+            if server is None:
                 for index, continuation in members:
-                    results[index] = continuation(
-                        cache.restore(repr(spec.key), spec.t_split, spec.build)
-                    )
-            else:
-                run_cold(spec, members)
-    else:
-        for group_key in order:
-            spec, members = groups[group_key]
-            run_cold(spec, members)
+                    results[index] = continuation(spec.build())
+                continue
+            for (index, _), outcome in zip(members, server.results()):
+                results[index] = outcome
+    finally:
+        for server in servers.values():
+            server.close()
     return results

@@ -1,14 +1,12 @@
 """Checkpoint/restore snapshots: byte-identity is the contract.
 
 Every test here pins the same invariant from a different angle: a
-sweep point restored from a shared-prefix snapshot (fork or deepcopy)
-must be **byte-identical** to cold-starting that point -- full-record
+sweep point restored from a shared-prefix fork snapshot must be
+**byte-identical** to cold-starting that point -- full-record
 trace signatures, metrics exports, membership timelines, everything.
 The graceful-degradation paths (``REPRO_SNAPSHOT=0``, no ``os.fork``)
 must produce the same bytes too, just slower.
 """
-
-import copy
 
 import pytest
 
@@ -20,26 +18,22 @@ from repro.faults.chaos import (
     run_chaos,
     run_net_chaos,
 )
-from repro.net.cluster import CLUSTER_WORKERS_ENV
 from repro.perf import snapshot as snapshot_mod
 from repro.perf.snapshot import (
     SNAPSHOT_ENV,
-    SnapshotCache,
     SnapshotError,
     SnapshotServer,
-    deep_snapshot,
     fork_available,
     resolve_snapshot_mode,
 )
 from repro.perf.sweeps import PrefixSpec, prefix_map
-from repro.sim.engine import EventQueue
 from repro.timeunits import ms
 
 requires_fork = pytest.mark.skipif(
     not fork_available(), reason="os.fork unavailable"
 )
 
-MODES = [pytest.param("fork", marks=requires_fork), "deepcopy"]
+MODES = [pytest.param("fork", marks=requires_fork)]
 
 DUR = ms(300)
 WARM = ms(225)
@@ -145,7 +139,7 @@ class TestChaosEquality:
 
 
 class TestNetChaosEquality:
-    """Cluster sweeps: membership timelines included, all worker counts."""
+    """Cluster sweeps: membership timelines included."""
 
     NET = dict(
         dependability=True,
@@ -174,10 +168,8 @@ class TestNetChaosEquality:
 
         return spec, continuation
 
-    @pytest.mark.parametrize("workers", ["0", "2"])
     @pytest.mark.parametrize("mode", MODES)
-    def test_restored_cluster_equal_cold(self, mode, workers, monkeypatch):
-        monkeypatch.setenv(CLUSTER_WORKERS_ENV, workers)
+    def test_restored_cluster_equal_cold(self, mode):
         cases = [(drop_p, seed) for drop_p in (0.15,) for seed in SEEDS]
         cold = [
             run_net_chaos(
@@ -196,68 +188,6 @@ class TestNetChaosEquality:
             assert a.membership_events == b.membership_events
             # The silenced node must actually exercise the timeline.
             assert a.membership_events
-
-
-class TestDeepSnapshot:
-    """The closure-aware deepcopy that makes in-process snapshots safe."""
-
-    def _queue_with_closure(self):
-        counts = {"fired": 0}
-        queue = EventQueue()
-
-        def action():
-            counts["fired"] += 1
-
-        queue.schedule(10, action, label="closure")
-        return queue, counts
-
-    def test_copy_fires_without_touching_original(self):
-        queue, counts = self._queue_with_closure()
-        snap = deep_snapshot({"queue": queue, "counts": counts})
-        event = snap["queue"].pop_due(10)
-        event.action()
-        assert snap["counts"]["fired"] == 1
-        assert counts["fired"] == 0
-
-    def test_stdlib_deepcopy_shares_closures(self):
-        """The hazard deep_snapshot exists for: stdlib deepcopy treats
-        functions as atomic, so a copied event mutates the ORIGINAL."""
-        queue, counts = self._queue_with_closure()
-        clone = copy.deepcopy({"queue": queue, "counts": counts})
-        event = clone["queue"].pop_due(10)
-        event.action()
-        assert counts["fired"] == 1  # leaked through the shared closure
-        assert clone["counts"]["fired"] == 0
-
-
-class TestSnapshotCache:
-    def test_hits_misses_and_private_copies(self):
-        built = []
-
-        def build():
-            built.append(1)
-            return {"clock": 225, "log": []}
-
-        cache = SnapshotCache(capacity=2)
-        first = cache.restore("cfg-a", 225, build)
-        second = cache.restore("cfg-a", 225, build)
-        assert len(built) == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert first == second and first is not second
-        # Restored copies are private: mutating one leaks nowhere.
-        first["log"].append("x")
-        assert cache.restore("cfg-a", 225, build)["log"] == []
-
-        cache.restore("cfg-b", 225, build)
-        assert len(built) == 2  # different config hash = different master
-        cache.restore("cfg-a", 300, build)
-        assert len(built) == 3  # different split point too
-        assert len(cache) == 2  # FIFO eviction held capacity
-
-        cache.clear()
-        assert len(cache) == 0
-        cache.restore("cfg-a", 225, build)
-        assert len(built) == 4
 
 
 class TestGracefulDegradation:
@@ -336,14 +266,16 @@ class TestResolveMode:
             ("0", "cold"),
             ("off", "cold"),
             ("cold", "cold"),
-            ("deepcopy", "deepcopy"),
         ):
             monkeypatch.setenv(SNAPSHOT_ENV, raw)
             assert resolve_snapshot_mode() == want, raw
 
     def test_invalid_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(SNAPSHOT_ENV, "banana")
-        with pytest.raises(ValueError, match="REPRO_SNAPSHOT"):
-            resolve_snapshot_mode()
-        with pytest.raises(ValueError, match="unknown snapshot mode"):
-            resolve_snapshot_mode("banana")
+        # A stale setting naming a removed mechanism must fail loudly,
+        # not quietly fall back to another one.
+        for raw in ("banana", "deepcopy"):
+            monkeypatch.setenv(SNAPSHOT_ENV, raw)
+            with pytest.raises(ValueError, match="REPRO_SNAPSHOT"):
+                resolve_snapshot_mode()
+            with pytest.raises(ValueError, match="unknown snapshot mode"):
+                resolve_snapshot_mode(raw)
