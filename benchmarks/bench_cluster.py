@@ -32,12 +32,13 @@ matter: concurrent workers contend for cores).
 
 import hashlib
 import json
+import sys
 from typing import Tuple
 
 from common import (
+    CLUSTER_TRAJECTORY_PATH,
     apply_bench_args,
     bench_arg_parser,
-    cluster_trajectory_path,
     publish,
     sweep_map,
 )
@@ -51,11 +52,10 @@ from repro.perf.clusterload import (
     run_cluster_throughput,
 )
 from repro.perf.trajectory import (
-    RegressionError,
     append_entry,
-    check_regression,
     config_hash,
     make_entry,
+    regression_gate,
 )
 
 #: The full sweep grid.
@@ -235,31 +235,21 @@ def main(argv=None) -> int:
 
     check = args.check if args.check is not None else ("" if args.quick else None)
     if check is not None and idle is not None:
-        path = check or cluster_trajectory_path()
-        current = idle["adaptive"]["throughput_sim_ns_per_s"]
         fingerprint = config_hash(
             cluster_config(*HEADLINE_IDLE, "adaptive",
                            horizon_ns=CLUSTER_HORIZON_NS)
         )
-        try:
-            baseline = check_regression(
-                path, current, fingerprint, args.max_regression
-            )
-        except RegressionError as err:
-            print(f"FAIL: {err}")
-            failed = True
-        else:
-            if baseline is None:
-                print(f"no comparable baseline in {path}; gate skipped")
-            else:
-                base = baseline["throughput_sim_ns_per_s"]
-                print(
-                    f"regression gate: {current / 1e9:.2f} Gns/s vs committed "
-                    f"{base / 1e9:.2f} Gns/s ({baseline['label']!r}) -- ok"
-                )
+        passed, line = regression_gate(
+            check or CLUSTER_TRAJECTORY_PATH,
+            idle["adaptive"]["throughput_sim_ns_per_s"],
+            fingerprint,
+            args.max_regression,
+        )
+        print(line, file=sys.stdout if passed else sys.stderr)
+        failed = failed or not passed
 
     if args.append is not None:
-        path = args.append or cluster_trajectory_path()
+        path = args.append or CLUSTER_TRAJECTORY_PATH
         for entry in _trajectory_entries(outcomes, args.label):
             append_entry(path, entry)
         print(f"appended headline entries to {path}")

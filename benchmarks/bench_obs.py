@@ -28,12 +28,12 @@ with the same interleaved best-of discipline.
 import json
 
 from common import (
+    TRAJECTORY_PATH,
     apply_bench_args,
     bench_arg_parser,
     bench_obs_mode,
     dump_obs_artifacts,
     publish,
-    trajectory_path,
 )
 from repro.analysis import format_table
 
@@ -77,10 +77,8 @@ def _cluster_rate(instrument: bool, horizon_ns: int) -> float:
     enables (full-mode collectors are the known-expensive debugging
     tier, same as the kernel-side bound).
     """
-    import gc
-    import time
-
     from repro.perf.clusterload import build_ring_cluster
+    from repro.perf.counters import timed
 
     cluster = build_ring_cluster(
         CLUSTER_NODES, CLUSTER_UTILIZATION, "adaptive", record="jobs-only"
@@ -89,16 +87,7 @@ def _cluster_rate(instrument: bool, horizon_ns: int) -> float:
         from repro.obs.cluster_trace import enable_cluster_tracing
 
         enable_cluster_tracing(cluster, obs="counters")
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        cluster.run_until(horizon_ns)
-        wall = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    _, wall = timed(lambda: cluster.run_until(horizon_ns))
     return horizon_ns / wall if wall > 0 else 0.0
 
 
@@ -152,7 +141,7 @@ def check_signatures():
     """
     from repro.perf.workloads import full_signatures
 
-    path = trajectory_path()
+    path = TRAJECTORY_PATH
     baseline = None
     if path.exists():
         entries = json.loads(path.read_text())

@@ -30,19 +30,19 @@ region, so the speedup is pure work reduction -- shared prefixes
 simulated once instead of once per point -- not a parallelism artifact.
 """
 
-import gc
 import os
-import time
+import sys
 
 import bench_faults
 import bench_net_faults
 from common import (
+    SWEEPS_TRAJECTORY_PATH,
     apply_bench_args,
     bench_arg_parser,
     publish,
-    sweeps_trajectory_path,
 )
 from repro.analysis import format_table
+from repro.perf.counters import timed
 from repro.perf.snapshot import resolve_snapshot_mode
 from repro.perf.sweeps import prefix_map
 from repro.timeunits import ms, to_ms
@@ -57,19 +57,6 @@ NET_FULL = ((0.05, 0.2), (1, 2), ms(20_000), ms(15_000))
 NET_QUICK = ((0.1,), (1, 2, 3), ms(8_000), ms(6_000))
 
 
-def _timed(fn):
-    """Run ``fn`` with the GC parked; return (result, wall seconds)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        result = fn()
-        return result, time.perf_counter() - start
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _section(name, plan, cases, mode):
     """Time one sweep section cold and snapshotted; verify identity.
 
@@ -77,8 +64,8 @@ def _section(name, plan, cases, mode):
     disabled (``mode="cold"`` cold-starts every point serially), so
     the two timings differ only in prefix reuse.
     """
-    cold, cold_wall = _timed(lambda: prefix_map(plan, cases, mode="cold"))
-    snap, snap_wall = _timed(lambda: prefix_map(plan, cases, mode=mode))
+    cold, cold_wall = timed(lambda: prefix_map(plan, cases, mode="cold"))
+    snap, snap_wall = timed(lambda: prefix_map(plan, cases, mode=mode))
     mismatches = [
         index for index, (a, b) in enumerate(zip(cold, snap)) if a != b
     ]
@@ -228,11 +215,9 @@ def main(argv=None) -> int:
     # Trajectory: one headline entry; the config hash fingerprints the
     # grids and mechanism, so baselines only gate like measurements.
     from repro.perf.trajectory import (
-        RegressionError,
         append_entry,
-        check_regression,
-        config_hash,
         make_entry,
+        regression_gate,
     )
 
     config = {
@@ -267,27 +252,17 @@ def main(argv=None) -> int:
 
     check = args.check if args.check is not None else ("" if quick else None)
     if check is not None:
-        path = check or sweeps_trajectory_path()
-        try:
-            baseline = check_regression(
-                path, throughput, entry["config_hash"], args.max_regression
-            )
-        except RegressionError as err:
-            print(f"FAIL: {err}")
-            failed = True
-        else:
-            if baseline is None:
-                print(f"no comparable baseline in {path}; gate skipped")
-            else:
-                base = baseline["throughput_sim_ns_per_s"]
-                print(
-                    f"regression gate: {throughput / 1e6:.1f} Mns/s vs "
-                    f"committed {base / 1e6:.1f} Mns/s "
-                    f"({baseline['label']!r}) -- ok"
-                )
+        passed, line = regression_gate(
+            check or SWEEPS_TRAJECTORY_PATH,
+            throughput,
+            entry["config_hash"],
+            args.max_regression,
+        )
+        print(line, file=sys.stdout if passed else sys.stderr)
+        failed = failed or not passed
 
     if args.append is not None:
-        path = args.append or sweeps_trajectory_path()
+        path = args.append or SWEEPS_TRAJECTORY_PATH
         append_entry(path, entry)
         print(f"appended headline entry to {path}")
 

@@ -24,9 +24,6 @@ Environment knobs:
 * ``REPRO_BENCH_SEED`` -- base RNG seed for sweeps that accept one.
 * ``REPRO_BENCH_OUT`` -- output directory for rendered results
   (default ``benchmarks/results/``).
-* ``REPRO_BENCH_TRAJECTORY`` -- perf trajectory file live-kernel
-  benchmarks append to (default ``BENCH_kernel.json`` at the repo
-  root).
 * ``REPRO_BENCH_OBS`` -- observability mode for live-kernel runs
   (``counters`` or ``full``; default unset = observation off).
   Benchmarks that honor it can dump the metrics/trace artifacts via
@@ -34,8 +31,11 @@ Environment knobs:
 * ``REPRO_SNAPSHOT`` -- snapshot mechanism for shared-prefix sweeps
   (``auto``/``fork``/``cold``; see
   :mod:`repro.perf.snapshot`).
-* ``REPRO_BENCH_SWEEPS_TRAJECTORY`` -- sweep-speedup trajectory file
-  (default ``BENCH_sweeps.json`` at the repo root).
+
+The committed trajectories live at the repository root
+(``BENCH_kernel.json``, ``BENCH_cluster.json``, ``BENCH_sweeps.json``);
+the benchmarks' ``--append``/``--check PATH`` flags choose another
+file.
 """
 
 from __future__ import annotations
@@ -130,24 +130,6 @@ def bench_out_dir() -> Path:
     """Directory rendered benchmark output is persisted into."""
     raw = os.environ.get("REPRO_BENCH_OUT", "")
     return Path(raw) if raw else RESULTS_DIR
-
-
-def trajectory_path() -> Path:
-    """The perf trajectory file benchmark runs append to."""
-    raw = os.environ.get("REPRO_BENCH_TRAJECTORY", "")
-    return Path(raw) if raw else TRAJECTORY_PATH
-
-
-def cluster_trajectory_path() -> Path:
-    """The cluster perf trajectory file (``BENCH_cluster.json``)."""
-    raw = os.environ.get("REPRO_BENCH_CLUSTER_TRAJECTORY", "")
-    return Path(raw) if raw else CLUSTER_TRAJECTORY_PATH
-
-
-def sweeps_trajectory_path() -> Path:
-    """The sweep-speedup trajectory file (``BENCH_sweeps.json``)."""
-    raw = os.environ.get("REPRO_BENCH_SWEEPS_TRAJECTORY", "")
-    return Path(raw) if raw else SWEEPS_TRAJECTORY_PATH
 
 
 def bench_obs_mode() -> Optional[str]:

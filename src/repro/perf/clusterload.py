@@ -32,8 +32,6 @@ Two measurements per configuration, as in the kernel harness:
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Dict
 
 from repro.core.edf import EDFScheduler
@@ -43,6 +41,7 @@ from repro.kernel.program import Call, Compute, Program, Wait
 from repro.net.cluster import Cluster
 from repro.net.fieldbus import Fieldbus
 from repro.net.node import net_send
+from repro.perf.counters import timed
 from repro.timeunits import ms, us
 
 __all__ = [
@@ -159,20 +158,11 @@ def run_cluster_throughput(
 ) -> Dict:
     """One timed run; returns a trajectory-ready report dict.
 
-    Same timing discipline as the kernel harness: full collection,
-    collector suspended across the timed section, restored after.
+    Timed with the GC parked, like the kernel harness
+    (:func:`repro.perf.counters.timed`).
     """
     cluster = build_ring_cluster(nodes, utilization, sync, record)
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        cluster.run_until(horizon_ns)
-        wall = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    _, wall = timed(lambda: cluster.run_until(horizon_ns))
     return {
         "sim_ns": horizon_ns,
         "wall_s": wall,

@@ -10,13 +10,38 @@ trajectory (``BENCH_kernel.json``) tracks across PRs.
 
 from __future__ import annotations
 
+import gc
+import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Tuple, TypeVar
 
 if TYPE_CHECKING:
     from repro.kernel.kernel import Kernel
 
-__all__ = ["PerfReport", "collect_report"]
+__all__ = ["PerfReport", "collect_report", "timed"]
+
+T = TypeVar("T")
+
+
+def timed(fn: Callable[[], T]) -> Tuple[T, float]:
+    """Run ``fn()`` with the GC parked; return ``(result, wall seconds)``.
+
+    The same discipline as the stdlib ``timeit`` template: a full
+    collection first, then the collector disabled across the timed
+    call, because collector pauses land unpredictably inside a run and
+    were measured to swing per-run throughput by over 20%.  The
+    collector state is restored afterwards either way.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        return result, time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

@@ -19,7 +19,7 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "config_hash",
@@ -27,6 +27,7 @@ __all__ = [
     "append_entry",
     "latest_entry",
     "check_regression",
+    "regression_gate",
     "RegressionError",
 ]
 
@@ -90,15 +91,11 @@ def append_entry(path: PathLike, entry: Dict) -> Dict:
 
 
 def latest_entry(
-    entries: List[Dict],
-    config_hash_value: Optional[str] = None,
-    exclude_label: Optional[str] = None,
+    entries: List[Dict], config_hash_value: Optional[str] = None
 ) -> Optional[Dict]:
     """Most recent entry, optionally restricted to one configuration."""
     for entry in reversed(entries):
         if config_hash_value and entry.get("config_hash") != config_hash_value:
-            continue
-        if exclude_label and entry.get("label") == exclude_label:
             continue
         return entry
     return None
@@ -133,3 +130,33 @@ def check_regression(
             f"{floor:.3g} (-{100 * max_regression:.0f}%)"
         )
     return baseline
+
+
+def regression_gate(
+    path: PathLike,
+    throughput: float,
+    config_hash_value: str,
+    max_regression: float = DEFAULT_MAX_REGRESSION,
+) -> Tuple[bool, str]:
+    """The trajectory gate every perf command runs: ``(passed, line)``.
+
+    Wraps :func:`check_regression` and words its outcome as one report
+    line: ``REGRESSION: ...`` on a failure (callers print it to
+    stderr), ``no comparable baseline in PATH; check skipped`` when the
+    trajectory holds no entry with this configuration, and otherwise
+    ``vs baseline 'LABEL' (BASE sim-ns/s): +D%``.
+    """
+    try:
+        baseline = check_regression(
+            path, throughput, config_hash_value, max_regression
+        )
+    except RegressionError as exc:
+        return False, f"REGRESSION: {exc}"
+    if baseline is None:
+        return True, f"no comparable baseline in {path}; check skipped"
+    base = float(baseline["throughput_sim_ns_per_s"])
+    delta = 100 * (throughput - base) / base
+    return True, (
+        f"vs baseline {baseline.get('label')!r} "
+        f"({base:.3g} sim-ns/s): {delta:+.1f}%"
+    )

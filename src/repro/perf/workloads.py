@@ -17,8 +17,6 @@ The harness measures two things about every code change:
 
 from __future__ import annotations
 
-import gc
-import time
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.allocation import balanced_splits
@@ -28,7 +26,12 @@ from repro.core.schedulability import (
     csd_overhead_per_period,
     csd_schedulable,
 )
-from repro.perf.counters import PerfReport, collect_report, merge_reports
+from repro.perf.counters import (
+    PerfReport,
+    collect_report,
+    merge_reports,
+    timed,
+)
 from repro.sim.kernelsim import simulate_workload
 from repro.sim.workload import generate_workload
 from repro.timeunits import ms
@@ -104,33 +107,21 @@ def run_throughput(
 ) -> PerfReport:
     """Run the canonical workload and report pooled counters/rates.
 
-    Timed sections run with the garbage collector suspended (after a
-    full collection), the same discipline as the stdlib ``timeit``
-    template: collector pauses land unpredictably inside the run and
-    were measured to swing per-run throughput by over 20%.  The
-    collector state is restored afterwards either way.
-
-    ``obs`` attaches an observability collector (``"counters"`` or
-    ``"full"``) inside the timed section -- how the obs-smoke overhead
-    bound is measured.
+    Each policy run is timed alone with the GC parked
+    (:func:`repro.perf.counters.timed`).  ``obs`` attaches an
+    observability collector (``"counters"`` or ``"full"``) inside the
+    timed section -- how the obs-smoke overhead bound is measured.
     """
     model = model if model is not None else OverheadModel()
     reports = []
     for _ in range(max(1, repeats)):
         for workload, policy, splits in _policy_runs(model):
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                kernel, _trace = simulate_workload(
+            (kernel, _trace), wall = timed(
+                lambda: simulate_workload(
                     workload, policy, duration=HORIZON_NS, model=model,
                     splits=splits, record=mode, obs=obs,
                 )
-                wall = time.perf_counter() - start
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            )
             reports.append(collect_report(kernel, wall, label=policy))
     return merge_reports(label, reports)
 

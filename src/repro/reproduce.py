@@ -2,65 +2,26 @@
 
 Usage::
 
-    python -m repro.reproduce            # everything (several minutes)
+    python -m repro.reproduce            # every target (several minutes)
     python -m repro.reproduce --quick    # smaller sweeps (~30 s)
     python -m repro.reproduce figure3 figure11 table1   # selected targets
+    python -m repro.reproduce COMMAND [flags]           # one extension
 
-Targets: table1, table2, table3, figure2, figure3, figure4, figure5,
-figure11, ipc, cyclic, footprint, validate.  Results print to stdout.
-
-The ``faults`` subcommand (an extension beyond the paper) runs the
-chaos harness instead::
-
-    python -m repro.reproduce faults --seed 42 --wcet-overrun 0.1
-
-The ``netfaults`` subcommand runs the dependable-fieldbus chaos
-harness (CAN error confinement, bounded retransmission, heartbeat
-membership, replica freshness)::
-
-    python -m repro.reproduce netfaults --drop 0.1 --silence n2
-
-The ``perf`` subcommand measures simulator throughput on the canonical
-workload and maintains the persistent perf trajectory::
-
-    python -m repro.reproduce perf --append BENCH_kernel.json --check BENCH_kernel.json
-
-The ``bench`` subcommand runs the benchmark suite (or a selection)::
-
-    python -m repro.reproduce bench all --workers 4
-
-The ``trace`` and ``metrics`` subcommands run a workload with the
-observability layer attached -- ``trace`` exports a Perfetto-loadable
-Chrome trace JSON, ``metrics`` prints per-task latency percentiles and
-per-semaphore blocking / priority-inheritance totals::
-
-    python -m repro.reproduce trace --out trace.json
-    python -m repro.reproduce metrics --demo pi --scheme emeralds
-
-The ``cluster-trace`` subcommand runs the canonical ring cluster with
-cluster-wide tracing armed and exports ONE merged Perfetto timeline
-(one pid per node plus a bus pid, with causal flow arrows from each
-transmit slice to its deliveries) plus the aggregated cross-node
-metrics registry::
-
-    python -m repro.reproduce cluster-trace --out cluster.trace.json
-    python -m repro.reproduce cluster-trace --verify   # byte-identity
-
-The ``snapshot`` subcommand demonstrates checkpoint/restore prefix
-reuse: a small fault sweep whose points share one warm-up prefix is
-run cold and through :func:`repro.perf.sweeps.prefix_map`, every
-restored point is checked byte-identical to its cold twin, and the
-wall-clock speedup is reported::
-
-    python -m repro.reproduce snapshot --mode fork --warmup-ms 1500
+Targets print the paper's tables and figures to stdout.
+``python -m repro.reproduce --help`` lists every target and command
+with a one-line summary (built from :data:`TARGETS` and
+:data:`COMMANDS`); ``python -m repro.reproduce COMMAND --help`` lists
+that command's flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
-from typing import Callable, Dict, List
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import ascii_series, format_table
 from repro.core.cyclic import CyclicScheduleError, build_cyclic_schedule
@@ -71,6 +32,9 @@ from repro.sim.breakdown import figure_series
 from repro.sim.kernelsim import simulate_workload
 from repro.sim.semexp import figure11_series
 from repro.timeunits import ms, to_ms, to_us
+
+#: The repository root (``benchmarks/`` and ``examples/`` live there).
+_REPO = Path(__file__).parent.parent.parent
 
 
 def _banner(title: str) -> None:
@@ -286,12 +250,10 @@ def run_footprint(quick: bool) -> None:
     """Report example-application memory footprints."""
     _banner("Small-memory footprint of the example applications")
     import importlib
-    import sys as _sys
-    from pathlib import Path
 
     from repro.kernel.footprint import kernel_footprint
 
-    _sys.path.insert(0, str(Path(__file__).parent.parent.parent / "examples"))
+    sys.path.insert(0, str(_REPO / "examples"))
     for name in ("quickstart", "engine_control", "voice_pipeline"):
         try:
             module = importlib.import_module(name)
@@ -328,44 +290,76 @@ def run_validate(quick: bool) -> None:
             )
 
 
-def run_faults(argv: List[str]) -> int:
-    """The ``faults`` subcommand: one seeded chaos run, reported."""
-    from repro.faults.chaos import run_chaos
+TARGETS: Dict[str, Callable[[bool], None]] = {
+    "table1": run_table1,
+    "table2": run_table2,
+    "figure2": run_figure2,
+    "table3": run_table3,
+    "figure3": run_figure3,
+    "figure4": run_figure4,
+    "figure5": run_figure5,
+    "figure11": run_figure11,
+    "ipc": run_ipc,
+    "cyclic": run_cyclic,
+    "footprint": run_footprint,
+    "validate": run_validate,
+}
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reproduce faults",
-        description="Run the fault-injection chaos harness once.",
-    )
+
+# ----------------------------------------------------------------------
+# Commands: each is (add_flags(parser), run(args) -> exit code).
+# ----------------------------------------------------------------------
+def _bounded(convert, accept, requirement: str):
+    """An argparse ``type=``: convert the text, then enforce a bound."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement} (got {text})"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in errors
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v > 0, "positive")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "non-negative")
+_at_least_2 = _bounded(int, lambda v: v >= 2, "at least 2")
+_non_negative = _bounded(float, lambda v: v >= 0, "non-negative")
+_probability = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_utilization = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _faults_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--duration-ms", type=int, default=1000, help="virtual run length"
+        "--duration-ms", type=_positive_int, default=1000,
+        help="virtual run length",
     )
     parser.add_argument(
-        "--wcet-overrun", type=float, default=0.0, metavar="RATE",
+        "--wcet-overrun", type=_non_negative, default=0.0, metavar="RATE",
         help="WCET-overrun faults per virtual second",
     )
     parser.add_argument(
-        "--crash", type=float, default=0.0, metavar="RATE",
+        "--crash", type=_non_negative, default=0.0, metavar="RATE",
         help="thread-crash faults per virtual second",
     )
     parser.add_argument(
-        "--jitter", type=float, default=0.0, metavar="RATE",
+        "--jitter", type=_non_negative, default=0.0, metavar="RATE",
         help="clock-jitter faults per virtual second",
     )
     parser.add_argument(
         "--no-defenses", action="store_true",
         help="disable budgets and restart policies",
     )
-    args = parser.parse_args(argv)
-    if args.duration_ms <= 0:
-        parser.error(f"--duration-ms must be positive (got {args.duration_ms})")
-    for flag, rate in (
-        ("--wcet-overrun", args.wcet_overrun),
-        ("--crash", args.crash),
-        ("--jitter", args.jitter),
-    ):
-        if rate < 0:
-            parser.error(f"{flag} must be non-negative (got {rate:g})")
+
+
+def run_faults(args: argparse.Namespace) -> int:
+    """Run the fault-injection chaos harness once."""
+    from repro.faults.chaos import run_chaos
+
     result = run_chaos(
         args.seed,
         ms(args.duration_ms),
@@ -394,29 +388,23 @@ def run_faults(argv: List[str]) -> int:
     return 0
 
 
-def run_netfaults(argv: List[str]) -> int:
-    """The ``netfaults`` subcommand: one dependable-fieldbus chaos run."""
-    from repro.faults.chaos import run_net_chaos
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reproduce netfaults",
-        description="Run the dependable-fieldbus chaos harness once.",
-    )
+def _netfaults_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--duration-ms", type=int, default=1000, help="virtual run length"
+        "--duration-ms", type=_positive_int, default=1000,
+        help="virtual run length",
     )
-    parser.add_argument("--nodes", type=int, default=4)
+    parser.add_argument("--nodes", type=_at_least_2, default=4)
     parser.add_argument(
-        "--drop", type=float, default=0.0, metavar="P",
+        "--drop", type=_probability, default=0.0, metavar="P",
         help="per-frame drop probability on the wire",
     )
     parser.add_argument(
-        "--corrupt", type=float, default=0.0, metavar="P",
+        "--corrupt", type=_probability, default=0.0, metavar="P",
         help="per-frame corruption (CRC-failure) probability",
     )
     parser.add_argument(
-        "--retransmits", type=int, default=8,
+        "--retransmits", type=_non_negative_int, default=8,
         help="retransmission bound per frame (0 = retries off)",
     )
     parser.add_argument(
@@ -435,16 +423,16 @@ def run_netfaults(argv: List[str]) -> int:
         "--rejoin-ms", type=int, default=None, metavar="MS",
         help="restart the silenced sender after this back-off",
     )
-    args = parser.parse_args(argv)
-    if args.duration_ms <= 0:
-        parser.error(f"--duration-ms must be positive (got {args.duration_ms})")
-    if args.nodes < 2:
-        parser.error(f"--nodes must be at least 2 (got {args.nodes})")
-    for flag, p in (("--drop", args.drop), ("--corrupt", args.corrupt)):
-        if not 0.0 <= p <= 1.0:
-            parser.error(f"{flag} must be in [0, 1] (got {p:g})")
-    if args.retransmits < 0:
-        parser.error(f"--retransmits must be non-negative (got {args.retransmits})")
+
+
+def run_netfaults(args: argparse.Namespace) -> int:
+    """Run the dependable-fieldbus chaos harness once.
+
+    Covers CAN error confinement, bounded retransmission, heartbeat
+    membership and replica freshness.
+    """
+    from repro.faults.chaos import run_net_chaos
+
     result = run_net_chaos(
         args.seed,
         ms(args.duration_ms),
@@ -500,40 +488,16 @@ def run_netfaults(argv: List[str]) -> int:
     return 0
 
 
-def run_perf(argv: List[str]) -> int:
-    """The ``perf`` subcommand: the canonical throughput measurement.
-
-    Measures the ``bench_kernel_overhead`` workload (EDF / RM / CSD-3,
-    2 s of virtual time each), prints the counter report and the
-    full-mode trace signatures, and optionally appends to / checks
-    against the persistent perf trajectory (``BENCH_kernel.json``).
-    """
-    from repro.perf.profiler import profile_call
-    from repro.perf.trajectory import (
-        DEFAULT_MAX_REGRESSION,
-        RegressionError,
-        append_entry,
-        check_regression,
-        config_hash,
-        make_entry,
-    )
-    from repro.perf.workloads import (
-        full_signatures,
-        run_throughput,
-        throughput_config,
-    )
+def _perf_flags(parser: argparse.ArgumentParser) -> None:
+    from repro.perf.trajectory import DEFAULT_MAX_REGRESSION
     from repro.sim.trace import RECORD_MODES
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reproduce perf",
-        description="Measure simulator throughput on the canonical workload.",
-    )
     parser.add_argument(
         "--mode", choices=RECORD_MODES, default="jobs-only",
         help="trace recording mode for the timed runs",
     )
     parser.add_argument(
-        "--repeats", type=int, default=1,
+        "--repeats", type=_positive_int, default=1,
         help="pooled repetitions of the three policy runs",
     )
     parser.add_argument(
@@ -559,9 +523,28 @@ def run_perf(argv: List[str]) -> int:
         "--no-signatures", action="store_true",
         help="skip the full-mode signature cross-check runs",
     )
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error(f"--repeats must be positive (got {args.repeats})")
+
+
+def run_perf(args: argparse.Namespace) -> int:
+    """Measure simulator throughput on the canonical workload.
+
+    Measures the bench_kernel_overhead workload (EDF / RM / CSD-3, 2 s
+    of virtual time each), prints the counter report and the full-mode
+    trace signatures, and optionally appends to / gates against the
+    persistent perf trajectory (BENCH_kernel.json).
+    """
+    from repro.perf.profiler import profile_call
+    from repro.perf.trajectory import (
+        append_entry,
+        config_hash,
+        make_entry,
+        regression_gate,
+    )
+    from repro.perf.workloads import (
+        full_signatures,
+        run_throughput,
+        throughput_config,
+    )
 
     report = run_throughput(args.mode, repeats=args.repeats, label=args.label)
     print(report.render())
@@ -580,25 +563,15 @@ def run_perf(argv: List[str]) -> int:
 
     config = throughput_config(args.mode)
     if args.check is not None:
-        try:
-            baseline = check_regression(
-                args.check,
-                report.throughput_sim_ns_per_s,
-                config_hash(config),
-                max_regression=args.max_regression,
-            )
-        except RegressionError as exc:
-            print(f"REGRESSION: {exc}", file=sys.stderr)
+        passed, line = regression_gate(
+            args.check,
+            report.throughput_sim_ns_per_s,
+            config_hash(config),
+            args.max_regression,
+        )
+        print(line, file=sys.stdout if passed else sys.stderr)
+        if not passed:
             return 1
-        if baseline is None:
-            print(f"no comparable baseline in {args.check}; check skipped")
-        else:
-            base = float(baseline["throughput_sim_ns_per_s"])
-            delta = 100 * (report.throughput_sim_ns_per_s - base) / base
-            print(
-                f"vs baseline {baseline.get('label')!r} "
-                f"({base / 1e9:.2f}e9): {delta:+.1f}%"
-            )
     if args.append is not None:
         entry = make_entry(args.label, report.as_dict(), config, signatures)
         append_entry(args.append, entry)
@@ -606,29 +579,20 @@ def run_perf(argv: List[str]) -> int:
     return 0
 
 
-def run_bench(argv: List[str]) -> int:
-    """The ``bench`` subcommand: run the benchmark suite.
+def _benchmarks() -> Dict[str, str]:
+    """The benchmark registry (``benchmarks/common.py``): name -> style."""
+    bench_dir = str(_REPO / "benchmarks")
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    from common import BENCHMARKS  # noqa: E402
 
-    ``bench all`` runs every benchmark; ``bench fig3 kernel_overhead``
-    runs a selection (names map to ``benchmarks/bench_<name>.py``).
-    The shared ``--seed/--out/--workers/--record`` flags configure the
-    runs via the environment knobs in ``benchmarks/common.py``; how
-    each benchmark is invoked comes from the explicit ``BENCHMARKS``
-    registry there.
-    """
-    from pathlib import Path
+    return BENCHMARKS
 
-    bench_dir = Path(__file__).parent.parent.parent / "benchmarks"
-    sys.path.insert(0, str(bench_dir))
-    from common import BENCHMARKS, apply_bench_args  # noqa: E402
 
-    available = sorted(BENCHMARKS)
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reproduce bench",
-        description="Run the benchmark suite (or a selection).",
-    )
+def _bench_flags(parser: argparse.ArgumentParser) -> None:
+    available = sorted(_benchmarks())
     parser.add_argument(
-        "names", nargs="+",
+        "names", nargs="+", choices=["all", *available], metavar="NAME",
         help=f"benchmarks to run, or 'all'; available: {', '.join(available)}",
     )
     parser.add_argument("--seed", type=int, default=None)
@@ -645,25 +609,33 @@ def run_bench(argv: List[str]) -> int:
         "--smoke", action="store_true",
         help="pass --smoke to CLI-style benchmarks (e.g. faults, obs)",
     )
-    args = parser.parse_args(argv)
 
-    names = available if "all" in args.names else args.names
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        parser.error(f"unknown benchmarks: {', '.join(unknown)}")
 
+def run_bench(args: argparse.Namespace) -> int:
+    """Run the benchmark suite, or a selection of it.
+
+    'bench all' runs every benchmark; 'bench fig3 kernel_overhead'
+    runs a selection (names map to benchmarks/bench_<name>.py).  The
+    shared --seed/--out/--workers/--record flags configure the runs via
+    the environment knobs in benchmarks/common.py, whose BENCHMARKS
+    registry says how each benchmark is invoked.
+    """
+    registry = _benchmarks()
+    from common import apply_bench_args  # noqa: E402
+
+    names = sorted(registry) if "all" in args.names else args.names
     apply_bench_args(args)
     pytest_files: List[str] = []
     exit_code = 0
     for name in names:
-        if BENCHMARKS[name] == "cli":
+        if registry[name] == "cli":
             # CLI-style benchmark: call its main() in-process.
             module = __import__(f"bench_{name}")
             cli_args = ["--smoke"] if args.smoke else []
             code = module.main(cli_args)
             exit_code = exit_code or code
         else:
-            pytest_files.append(str(bench_dir / f"bench_{name}.py"))
+            pytest_files.append(str(_REPO / "benchmarks" / f"bench_{name}.py"))
     if pytest_files:
         import pytest
 
@@ -672,15 +644,14 @@ def run_bench(argv: List[str]) -> int:
     return exit_code
 
 
-def _obs_arg_parser(prog: str, description: str) -> argparse.ArgumentParser:
-    """Shared flags of the ``trace`` and ``metrics`` subcommands."""
-    parser = argparse.ArgumentParser(prog=prog, description=description)
+def _obs_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by the ``trace`` and ``metrics`` commands."""
     parser.add_argument(
         "--policy", default="edf",
         help="scheduling policy for the canonical workload (default edf)",
     )
     parser.add_argument(
-        "--horizon-ms", type=int, default=200,
+        "--horizon-ms", type=_positive_int, default=200,
         help="virtual run length in ms (default 200)",
     )
     parser.add_argument(
@@ -692,7 +663,6 @@ def _obs_arg_parser(prog: str, description: str) -> argparse.ArgumentParser:
         "--scheme", choices=("standard", "emeralds"), default="standard",
         help="semaphore scheme for --demo pi (default standard)",
     )
-    return parser
 
 
 def _obs_run(args):
@@ -723,20 +693,17 @@ def _obs_run(args):
     return kernel, trace, kernel.obs
 
 
-def run_trace(argv: List[str]) -> int:
-    """The ``trace`` subcommand: export a Chrome/Perfetto trace."""
-    from repro.obs.tracer import export_chrome_trace
-
-    parser = _obs_arg_parser(
-        "python -m repro.reproduce trace",
-        "Run a workload and export a Perfetto-loadable Chrome trace.",
-    )
+def _trace_flags(parser: argparse.ArgumentParser) -> None:
+    _obs_flags(parser)
     parser.add_argument(
         "--out", default="trace.json", help="output path (default trace.json)"
     )
-    args = parser.parse_args(argv)
-    if args.horizon_ms <= 0:
-        parser.error(f"--horizon-ms must be positive (got {args.horizon_ms})")
+
+
+def run_trace(args: argparse.Namespace) -> int:
+    """Run a workload and export a Perfetto-loadable Chrome trace."""
+    from repro.obs.tracer import export_chrome_trace
+
     kernel, trace, collector = _obs_run(args)
     count = export_chrome_trace(args.out, trace, collector)
     print(trace.summary(kernel.now))
@@ -747,19 +714,8 @@ def run_trace(argv: List[str]) -> int:
     return 0
 
 
-def run_metrics(argv: List[str]) -> int:
-    """The ``metrics`` subcommand: latency percentiles + blocking/PI."""
-    from repro.obs.analyzers import (
-        blocking_report,
-        latency_report,
-        pi_chain_report,
-    )
-
-    parser = _obs_arg_parser(
-        "python -m repro.reproduce metrics",
-        "Run a workload and report latency percentiles, semaphore "
-        "blocking, and priority-inheritance chains.",
-    )
+def _metrics_flags(parser: argparse.ArgumentParser) -> None:
+    _obs_flags(parser)
     parser.add_argument(
         "--format", choices=("text", "json", "prom"), default="text",
         help="output format (default: rendered text reports)",
@@ -767,9 +723,16 @@ def run_metrics(argv: List[str]) -> int:
     parser.add_argument(
         "--out", default=None, help="also write the output to this path"
     )
-    args = parser.parse_args(argv)
-    if args.horizon_ms <= 0:
-        parser.error(f"--horizon-ms must be positive (got {args.horizon_ms})")
+
+
+def run_metrics(args: argparse.Namespace) -> int:
+    """Report per-task latency, semaphore blocking and PI chains."""
+    from repro.obs.analyzers import (
+        blocking_report,
+        latency_report,
+        pi_chain_report,
+    )
+
     kernel, trace, collector = _obs_run(args)
     if args.format == "json":
         output = collector.metrics_json()
@@ -811,37 +774,16 @@ def _cluster_trace_text(payload: Dict) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
-def run_cluster_trace(argv: List[str]) -> int:
-    """The ``cluster-trace`` subcommand: merged multi-node Perfetto export.
-
-    Runs the canonical ring workload with cluster-wide tracing armed,
-    exports the merged Chrome/Perfetto JSON (validated before writing),
-    prints the bus-chain latency percentiles, and optionally writes the
-    aggregated cross-node metrics registry.  ``--verify`` re-runs the
-    same configuration under the other synchronization mode (lockstep
-    against adaptive) and asserts the merged trace and metrics are
-    byte-identical -- the determinism contract of the exporter.
-    """
+def _cluster_trace_flags(parser: argparse.ArgumentParser) -> None:
     from repro.net.cluster import SYNC_MODES
-    from repro.obs.analyzers import bus_chain_report
-    from repro.obs.cluster_trace import (
-        cluster_chrome_trace,
-        cluster_metrics_registry,
-    )
-    from repro.obs.tracer import validate_chrome_trace
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reproduce cluster-trace",
-        description="Export one merged multi-node Perfetto timeline "
-        "from the canonical ring cluster.",
-    )
-    parser.add_argument("--nodes", type=int, default=4)
+    parser.add_argument("--nodes", type=_at_least_2, default=4)
     parser.add_argument(
-        "--utilization", type=float, default=0.5,
+        "--utilization", type=_utilization, default=0.5,
         help="offered bus load of the ring senders (default 0.5)",
     )
     parser.add_argument(
-        "--horizon-ms", type=int, default=100,
+        "--horizon-ms", type=_positive_int, default=100,
         help="virtual run length in ms (default 100)",
     )
     parser.add_argument(
@@ -869,15 +811,27 @@ def run_cluster_trace(argv: List[str]) -> int:
         help="assert byte-identical output under the other sync mode "
         "before writing",
     )
-    args = parser.parse_args(argv)
-    if args.nodes < 2:
-        parser.error(f"--nodes must be at least 2 (got {args.nodes})")
-    if not 0.0 < args.utilization <= 1.0:
-        parser.error(
-            f"--utilization must be in (0, 1] (got {args.utilization:g})"
-        )
-    if args.horizon_ms <= 0:
-        parser.error(f"--horizon-ms must be positive (got {args.horizon_ms})")
+
+
+def run_cluster_trace(args: argparse.Namespace) -> int:
+    """Export one merged multi-node Perfetto timeline of the ring cluster.
+
+    Runs the canonical ring workload with cluster-wide tracing armed,
+    exports the merged Chrome/Perfetto JSON (one pid per node plus a
+    bus pid, validated before writing), prints the bus-chain latency
+    percentiles, and optionally writes the aggregated cross-node
+    metrics registry.  --verify re-runs the same configuration under
+    the other synchronization mode (lockstep against adaptive) and
+    asserts the merged trace and metrics are byte-identical.
+    """
+    from repro.net.cluster import SYNC_MODES
+    from repro.obs.analyzers import bus_chain_report
+    from repro.obs.cluster_trace import (
+        cluster_chrome_trace,
+        cluster_metrics_registry,
+    )
+    from repro.obs.tracer import validate_chrome_trace
+
     horizon = ms(20 if args.quick else args.horizon_ms)
 
     _banner(
@@ -932,168 +886,74 @@ def run_cluster_trace(argv: List[str]) -> int:
     return 0
 
 
-def run_snapshot(argv: List[str]) -> int:
-    """The ``snapshot`` subcommand: prefix-reuse demo + self-check.
-
-    Runs a small canonical fault sweep (every point shares the same
-    fault-free warm-up) twice -- cold-starting each point, then
-    restoring each point from a snapshot of the shared prefix -- and
-    verifies the restored results byte-identical to the cold ones
-    (the dataclasses carry full-record trace signatures).
-    """
-    import time as _time
-
-    from repro.faults.chaos import chaos_continue, chaos_prefix, run_chaos
-    from repro.perf.snapshot import SNAPSHOT_MODES, resolve_snapshot_mode
-    from repro.perf.sweeps import PrefixSpec, prefix_map
-
-    parser = argparse.ArgumentParser(
-        prog="reproduce snapshot",
-        description="Checkpoint/restore prefix reuse: identity + speedup.",
-    )
-    parser.add_argument(
-        "--mode", choices=SNAPSHOT_MODES, default=None,
-        help="snapshot mechanism (default: REPRO_SNAPSHOT or auto)",
-    )
-    parser.add_argument(
-        "--duration-ms", type=int, default=4000,
-        help="virtual horizon per sweep point (ms)",
-    )
-    parser.add_argument(
-        "--warmup-ms", type=int, default=3000,
-        help="shared fault-free warm-up before the storms arm (ms)",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=[1, 2],
-        help="seeds per fault rate",
-    )
-    parser.add_argument(
-        "--rates", type=float, nargs="+", default=[5.0, 50.0],
-        help="fault rates (faults per virtual second)",
-    )
-    args = parser.parse_args(argv)
-    if not 0 <= args.warmup_ms < args.duration_ms:
-        parser.error("--warmup-ms must lie inside the --duration-ms horizon")
-
-    duration, warmup = ms(args.duration_ms), ms(args.warmup_ms)
-    mode = resolve_snapshot_mode(args.mode)
-    cases = [(rate, seed) for rate in args.rates for seed in args.seeds]
-
-    def plan(case):
-        rate, seed = case
-        spec = PrefixSpec(
-            key=("snapshot-demo", warmup),
-            t_split=warmup,
-            build=lambda: chaos_prefix(True, t_split=warmup),
-        )
-
-        def continuation(kernel):
-            return chaos_continue(
-                kernel,
-                seed,
-                duration,
-                wcet_overrun_rate=rate,
-                crash_rate=rate / 10,
-                clock_jitter_rate=rate / 2,
-                faults_from=warmup,
-            )
-
-        return spec, continuation
-
-    def cold_case(case):
-        rate, seed = case
-        return run_chaos(
-            seed,
-            duration,
-            wcet_overrun_rate=rate,
-            crash_rate=rate / 10,
-            clock_jitter_rate=rate / 2,
-            faults_from=warmup,
-        )
-
-    print(
-        f"Snapshot demo: {len(cases)} points x {args.duration_ms} ms, "
-        f"shared {args.warmup_ms} ms warm-up, mode={mode}"
-    )
-    started = _time.perf_counter()
-    cold = [cold_case(case) for case in cases]
-    cold_wall = _time.perf_counter() - started
-    started = _time.perf_counter()
-    restored = prefix_map(plan, cases, mode=mode)
-    snap_wall = _time.perf_counter() - started
-
-    failed = False
-    for case, a, b in zip(cases, cold, restored):
-        verdict = "identical" if a == b else "MISMATCH"
-        failed = failed or a != b
-        print(
-            f"  rate={case[0]:g} seed={case[1]}: {verdict} "
-            f"(miss ratio {a.miss_ratio:.3f}, "
-            f"signature {a.trace_signature[:12]})"
-        )
-    speedup = cold_wall / snap_wall if snap_wall else float("inf")
-    print(
-        f"cold {cold_wall:.2f} s, snapshot {snap_wall:.2f} s "
-        f"-> {speedup:.2f}x"
-    )
-    if failed:
-        print("FAIL: restored results diverged from cold runs")
-        return 1
-    print("every restored point is byte-identical to its cold run")
-    return 0
-
-
-TARGETS: Dict[str, Callable[[bool], None]] = {
-    "table1": run_table1,
-    "table2": run_table2,
-    "figure2": run_figure2,
-    "table3": run_table3,
-    "figure3": run_figure3,
-    "figure4": run_figure4,
-    "figure5": run_figure5,
-    "figure11": run_figure11,
-    "ipc": run_ipc,
-    "cyclic": run_cyclic,
-    "footprint": run_footprint,
-    "validate": run_validate,
+#: Every command: name -> (add its flags to a parser, run the parsed
+#: flags and return the exit code).  ``main`` dispatches from here and
+#: the root ``--help`` lists each name with its handler's first
+#: docstring line.
+COMMANDS: Dict[str, Tuple[Callable, Callable]] = {
+    "faults": (_faults_flags, run_faults),
+    "netfaults": (_netfaults_flags, run_netfaults),
+    "perf": (_perf_flags, run_perf),
+    "bench": (_bench_flags, run_bench),
+    "trace": (_trace_flags, run_trace),
+    "metrics": (_metrics_flags, run_metrics),
+    "cluster-trace": (_cluster_trace_flags, run_cluster_trace),
 }
 
+_PROG = "python -m repro.reproduce"
 
-def main(argv: List[str] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "faults":
-        return run_faults(raw[1:])
-    if raw and raw[0] == "netfaults":
-        return run_netfaults(raw[1:])
-    if raw and raw[0] == "perf":
-        return run_perf(raw[1:])
-    if raw and raw[0] == "bench":
-        return run_bench(raw[1:])
-    if raw and raw[0] == "trace":
-        return run_trace(raw[1:])
-    if raw and raw[0] == "metrics":
-        return run_metrics(raw[1:])
-    if raw and raw[0] == "cluster-trace":
-        return run_cluster_trace(raw[1:])
-    if raw and raw[0] == "snapshot":
-        return run_snapshot(raw[1:])
+
+def _summary(fn: Callable) -> str:
+    return inspect.getdoc(fn).splitlines()[0]
+
+
+def _target(name: str) -> str:
+    # A type= check, not choices=: argparse tests the empty list that
+    # nargs="*" yields without targets against choices and rejects it.
+    if name not in TARGETS:
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r}")
+    return name
+
+
+def _root_parser() -> argparse.ArgumentParser:
+    """Targets and ``--quick``; the epilog lists targets and commands."""
+    width = max(map(len, [*TARGETS, *COMMANDS]))
+    lines = ["targets:"]
+    lines += [f"  {n:<{width}}  {_summary(fn)}" for n, fn in TARGETS.items()]
+    lines += ["", f"commands ({_PROG} COMMAND --help lists its flags):"]
+    lines += [
+        f"  {n:<{width}}  {_summary(run)}" for n, (_, run) in COMMANDS.items()
+    ]
     parser = argparse.ArgumentParser(
-        description="Regenerate the EMERALDS paper's tables and figures."
+        prog=_PROG,
+        description="Regenerate the EMERALDS paper's tables and figures.",
+        epilog="\n".join(lines),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "targets",
-        nargs="*",
-        choices=list(TARGETS) + [[]],
+        "targets", nargs="*", type=_target,
+        metavar="{" + ",".join(TARGETS) + "}",
         help="artifacts to regenerate (default: all)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller sweeps for a fast pass"
     )
-    args = parser.parse_args(raw)
-    chosen = args.targets or list(TARGETS)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    raw = list(sys.argv[1:] if argv is None else argv)
+    if raw and raw[0] in COMMANDS:
+        add_flags, run = COMMANDS[raw[0]]
+        parser = argparse.ArgumentParser(
+            prog=f"{_PROG} {raw[0]}", description=inspect.getdoc(run)
+        )
+        add_flags(parser)
+        return run(parser.parse_args(raw[1:]))
+    args = _root_parser().parse_args(raw)
     started = time.time()
-    for target in chosen:
+    for target in args.targets or TARGETS:
         TARGETS[target](args.quick)
     print(f"\ndone in {time.time() - started:.1f} s")
     return 0

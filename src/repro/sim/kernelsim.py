@@ -52,9 +52,8 @@ def build_kernel(
     policy: str = "edf",
     model: Optional[OverheadModel] = None,
     splits: Optional[Sequence[int]] = None,
-    record_segments: bool = True,
     stop_on_deadline_miss: bool = False,
-    record: Optional[str] = None,
+    record: str = "full",
     max_trace_events: Optional[int] = None,
     obs: Optional[str] = None,
 ) -> Kernel:
@@ -64,8 +63,7 @@ def build_kernel(
     split points in RM order, as in
     :func:`repro.core.schedulability.csd_schedulable`); everything past
     the last split lands on the FP queue.  ``record`` selects the trace
-    recording mode (see :mod:`repro.sim.trace`), overriding the legacy
-    ``record_segments`` switch when given.  ``obs`` attaches an
+    recording mode (see :mod:`repro.sim.trace`).  ``obs`` attaches an
     observability collector in the named mode (``"counters"`` or
     ``"full"``; see :mod:`repro.obs.collector`) -- reach it afterwards
     as ``kernel.obs``.
@@ -73,7 +71,6 @@ def build_kernel(
     scheduler = make_scheduler(policy, model, splits)
     kernel = Kernel(
         scheduler,
-        record_segments=record_segments,
         stop_on_deadline_miss=stop_on_deadline_miss,
         record=record,
         max_trace_events=max_trace_events,
@@ -123,9 +120,8 @@ def simulate_workload(
     duration: Optional[int] = None,
     model: Optional[OverheadModel] = None,
     splits: Optional[Sequence[int]] = None,
-    record_segments: bool = True,
     stop_on_deadline_miss: bool = False,
-    record: Optional[str] = None,
+    record: str = "full",
     max_trace_events: Optional[int] = None,
     obs: Optional[str] = None,
 ) -> Tuple[Kernel, Trace]:
@@ -140,7 +136,6 @@ def simulate_workload(
         policy,
         model,
         splits,
-        record_segments=record_segments,
         stop_on_deadline_miss=stop_on_deadline_miss,
         record=record,
         max_trace_events=max_trace_events,

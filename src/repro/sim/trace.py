@@ -131,10 +131,7 @@ class Trace:
     """Accumulates everything observable about one kernel run.
 
     Args:
-        record_segments: Legacy switch; ``False`` is shorthand for
-            ``record="jobs-only"``.
-        record: Recording mode (see module docstring); overrides
-            ``record_segments`` when given.
+        record: Recording mode (see module docstring).
         max_events: Cap on the stored event log; ``None`` = unbounded.
             When the cap is hit the oldest events are dropped and the
             trace is marked truncated.
@@ -159,12 +156,9 @@ class Trace:
 
     def __init__(
         self,
-        record_segments: bool = True,
-        record: Optional[str] = None,
+        record: str = "full",
         max_events: Optional[int] = None,
     ):
-        if record is None:
-            record = "full" if record_segments else "jobs-only"
         if record not in RECORD_MODES:
             raise ValueError(
                 f"unknown record mode {record!r} (expected one of {RECORD_MODES})"

@@ -13,7 +13,12 @@ import json
 import pytest
 
 from repro.core.overhead import OverheadModel
-from repro.perf.counters import PerfReport, collect_report, merge_reports
+from repro.perf.counters import (
+    PerfReport,
+    collect_report,
+    merge_reports,
+    timed,
+)
 from repro.perf.profiler import profile_call, profiled
 from repro.perf.sweeps import WORKERS_ENV, parallel_map, resolve_workers
 from repro.perf.trajectory import (
@@ -24,6 +29,7 @@ from repro.perf.trajectory import (
     latest_entry,
     load_trajectory,
     make_entry,
+    regression_gate,
 )
 from repro.sim.breakdown import figure_series
 from repro.sim.kernelsim import simulate_workload
@@ -208,6 +214,61 @@ def test_check_regression_gate(tmp_path):
         check_regression(path, 60.0, digest, max_regression=0.30)
     # A different configuration is never compared.
     assert check_regression(path, 1.0, config_hash({"other": 1})) is None
+
+
+class TestRegressionGate:
+    """The one gate behind ``reproduce perf``, ``bench_cluster`` and
+    ``bench_sweeps``: a verdict plus one report line."""
+
+    CONFIG = {"workload": "w"}
+
+    def _trajectory(self, tmp_path):
+        path = tmp_path / "traj.json"
+        append_entry(path, _entry("base", 100.0, self.CONFIG))
+        return path
+
+    def test_passes_within_bound(self, tmp_path):
+        path = self._trajectory(tmp_path)
+        passed, line = regression_gate(path, 75.0, config_hash(self.CONFIG))
+        assert passed
+        assert line.startswith("vs baseline 'base'")
+        assert line.endswith("-25.0%")
+
+    def test_skips_without_comparable_baseline(self, tmp_path):
+        path = self._trajectory(tmp_path)
+        passed, line = regression_gate(path, 1.0, config_hash({"other": 1}))
+        assert passed
+        assert line == f"no comparable baseline in {path}; check skipped"
+        passed, line = regression_gate(
+            tmp_path / "absent.json", 1.0, config_hash(self.CONFIG)
+        )
+        assert passed and "no comparable baseline" in line
+
+    def test_fails_on_drop_beyond_default_bound(self, tmp_path):
+        path = self._trajectory(tmp_path)
+        passed, line = regression_gate(path, 69.0, config_hash(self.CONFIG))
+        assert not passed
+        assert line.startswith("REGRESSION: ")
+        assert "'base'" in line and "-30%" in line
+
+
+def test_timed_parks_and_restores_gc():
+    import gc
+
+    def probe():
+        return gc.isenabled()
+
+    assert gc.isenabled()
+    enabled_inside, wall = timed(probe)
+    assert enabled_inside is False
+    assert wall >= 0.0
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        timed(probe)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_config_hash_canonical():

@@ -27,6 +27,36 @@ def test_unknown_target_rejected():
         reproduce.main(["figure99"])
 
 
+def test_help_lists_every_command_and_target(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        reproduce.main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    for name in [*reproduce.TARGETS, *reproduce.COMMANDS]:
+        # One line per entry: the name followed by its summary.
+        assert any(line.split()[:1] == [name] for line in lines), name
+    assert "[]" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["faults", "--duration-ms", "0"], "--duration-ms"),
+        (["netfaults", "--drop", "1.5"], "--drop"),
+        (["netfaults", "--nodes", "1"], "--nodes"),
+        (["trace", "--horizon-ms", "0"], "--horizon-ms"),
+        (["perf", "--repeats", "0"], "--repeats"),
+        (["cluster-trace", "--utilization", "0"], "--utilization"),
+    ],
+)
+def test_out_of_range_flag_rejected(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        reproduce.main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_faults_subcommand(capsys):
     assert reproduce.main(["faults", "--seed", "42", "--wcet-overrun", "0.1"]) == 0
     out = capsys.readouterr().out

@@ -41,7 +41,7 @@ def build_torture_kernel(seed=0, threads=24):
     kernel = Kernel(
         CSDScheduler(OverheadModel(), dp_queue_count=2),
         sem_scheme="emeralds",
-        record_segments=False,
+        record="jobs-only",
     )
     for s in range(3):
         kernel.create_semaphore(f"sem{s}")
@@ -164,7 +164,7 @@ def test_torture_emeralds_vs_standard_semantics():
         k = Kernel(
             CSDScheduler(ZERO_OVERHEAD, dp_queue_count=2),
             sem_scheme=scheme,
-            record_segments=False,
+            record="jobs-only",
         )
         # Mirror the construction deterministically.
         src = build_torture_kernel(seed=7)

@@ -31,7 +31,7 @@ class TestSegments:
         assert t.idle_time == 30
 
     def test_record_segments_off_still_counts_idle(self):
-        t = Trace(record_segments=False)
+        t = Trace(record="jobs-only")
         t.add_segment(0, 30, IDLE)
         assert t.idle_time == 30
         assert t.segments == []
