@@ -14,84 +14,19 @@ to them -- see ``repro.core.overhead``):
   implementation costs 39.8 us (10.4 us / 26% saving).
 """
 
-import pytest
-
-from common import publish
-from repro.analysis import ascii_series
-from repro.sim.semexp import figure11_series, measure_pair_overhead
-from repro.timeunits import to_us, us
-
-LENGTHS = tuple(range(3, 31, 3))
+from common import publish_artifact
+from repro import artifacts
+from repro.timeunits import us
 
 
-def test_figure11_dp_queue(benchmark):
-    rows = benchmark.pedantic(
-        lambda: figure11_series("dp", LENGTHS), rounds=1, iterations=1
-    )
-    publish(
-        "figure11_dp",
-        ascii_series(
-            [r[0] for r in rows],
-            {
-                "standard": [to_us(r[1]) for r in rows],
-                "emeralds": [to_us(r[2]) for r in rows],
-            },
-            title="Figure 11: semaphore acquire/release overhead (us), DP queue",
-            x_label="queue length",
-        ),
-    )
-    by_n = {r[0]: r for r in rows}
-    assert by_n[15][1] == us(39.3)
-    assert by_n[15][2] == us(28.3)
-
-
-def test_figure11_fp_queue(benchmark):
-    rows = benchmark.pedantic(
-        lambda: figure11_series("fp", LENGTHS), rounds=1, iterations=1
-    )
-    publish(
-        "figure11_fp",
-        ascii_series(
-            [r[0] for r in rows],
-            {
-                "standard": [to_us(r[1]) for r in rows],
-                "emeralds": [to_us(r[2]) for r in rows],
-            },
-            title="Section 6.4: semaphore overhead (us), FP queue",
-            x_label="queue length",
-        ),
-    )
-    # EMERALDS flat at 29.4 us; standard linear.
-    assert {r[2] for r in rows} == {us(29.4)}
-    assert rows[-1][1] > rows[0][1]
-
-
-def test_fig11_headline_numbers(benchmark):
-    def measure():
-        dp_std = measure_pair_overhead("dp", "standard", 15).overhead_ns
-        dp_new = measure_pair_overhead("dp", "emeralds", 15).overhead_ns
-        fp_std = measure_pair_overhead("fp", "standard", 15).overhead_ns
-        fp_new = measure_pair_overhead("fp", "emeralds", 15).overhead_ns
-        return dp_std, dp_new, fp_std, fp_new
-
-    dp_std, dp_new, fp_std, fp_new = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    publish(
-        "figure11_headline",
-        "\n".join(
-            [
-                "Section 6.4 headline numbers (paper -> measured):",
-                f"  DP std @15:  39.3 us -> {to_us(dp_std):.1f} us",
-                f"  DP new @15:  28.3 us -> {to_us(dp_new):.1f} us "
-                f"(saving {to_us(dp_std - dp_new):.1f} us = "
-                f"{100 * (dp_std - dp_new) / dp_std:.0f}%)",
-                f"  FP std @15:  39.8 us -> {to_us(fp_std):.1f} us",
-                f"  FP new:      29.4 us -> {to_us(fp_new):.1f} us "
-                f"(saving {to_us(fp_std - fp_new):.1f} us = "
-                f"{100 * (fp_std - fp_new) / fp_std:.0f}%)",
-            ]
-        ),
-    )
-    assert (dp_std - dp_new) == us(11)
-    assert (fp_std - fp_new) == us(10.4)
+def test_figure11(benchmark):
+    pairs = publish_artifact(benchmark, artifacts.figure11)["pair_ns"]
+    dp_std, dp_new = pairs["dp"][15]
+    fp_std, fp_new = pairs["fp"][15]
+    assert (dp_std, dp_new) == (us(39.3), us(28.3))
+    assert dp_std - dp_new == us(11)
+    assert fp_std - fp_new == us(10.4)
+    # FP queue: EMERALDS flat at 29.4 us; standard linear.
+    fp = list(pairs["fp"].values())
+    assert {new for _, new in fp} == {us(29.4)}
+    assert fp[-1][0] > fp[0][0]

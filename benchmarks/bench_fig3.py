@@ -11,40 +11,21 @@ Base workloads draw periods from the Section 5.7 mix (5-9 ms, 10-99 ms,
   improves on CSD-3.
 """
 
-from common import bench_task_counts, bench_workers, bench_workloads, publish
-from repro.analysis import ascii_series
-from repro.sim.breakdown import figure_series
-
-POLICIES = ("csd-4", "csd-3", "csd-2", "edf", "rm")
+from common import bench_task_counts, bench_workers, bench_workloads, publish_artifact
+from repro import artifacts
 
 
 def test_figure3(benchmark):
-    def run():
-        return figure_series(
-            bench_task_counts(),
-            POLICIES,
-            workloads_per_point=bench_workloads(),
-            seed=1,
-            workers=bench_workers(),
-            period_divisor=1,
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
-    publish(
-        "figure3",
-        ascii_series(
-            series.task_counts,
-            {p: series.values[p] for p in POLICIES},
-            title=(
-                "Figure 3: average breakdown utilization (%), base periods "
-                f"({series.workloads_per_point} workloads/point; paper used 500)"
-            ),
-            x_label="n",
-        ),
+    values = publish_artifact(
+        benchmark,
+        artifacts.figure3,
+        workloads_per_point=bench_workloads(),
+        task_counts=bench_task_counts(),
+        workers=bench_workers(),
     )
 
-    by = series.values
-    last = len(series.task_counts) - 1
+    by = values["breakdown"]
+    last = len(values["task_counts"]) - 1
     # CSD-3 beats EDF and RM at the largest n.
     assert by["csd-3"][last] > by["edf"][last]
     assert by["csd-3"][last] > by["rm"][last]

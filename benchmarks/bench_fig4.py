@@ -6,40 +6,21 @@ to EDF, and CSD beats both ("for n = 40, CSD-4 has 50% lower overhead
 than RM, which in turn has lower overhead than EDF for this large n").
 """
 
-from common import bench_task_counts, bench_workers, bench_workloads, publish
-from repro.analysis import ascii_series
-from repro.sim.breakdown import figure_series
-
-POLICIES = ("csd-4", "csd-3", "csd-2", "edf", "rm")
+from common import bench_task_counts, bench_workers, bench_workloads, publish_artifact
+from repro import artifacts
 
 
 def test_figure4(benchmark):
-    def run():
-        return figure_series(
-            bench_task_counts(),
-            POLICIES,
-            workloads_per_point=bench_workloads(),
-            seed=1,
-            workers=bench_workers(),
-            period_divisor=2,
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
-    publish(
-        "figure4",
-        ascii_series(
-            series.task_counts,
-            {p: series.values[p] for p in POLICIES},
-            title=(
-                "Figure 4: average breakdown utilization (%), periods / 2 "
-                f"({series.workloads_per_point} workloads/point)"
-            ),
-            x_label="n",
-        ),
+    values = publish_artifact(
+        benchmark,
+        artifacts.figure4,
+        workloads_per_point=bench_workloads(),
+        task_counts=bench_task_counts(),
+        workers=bench_workers(),
     )
 
-    by = series.values
-    counts = series.task_counts
+    by = values["breakdown"]
+    counts = values["task_counts"]
     first, last = 0, len(counts) - 1
     # EDF above RM for small n...
     assert by["edf"][first] > by["rm"][first]

@@ -5,40 +5,21 @@ paper's finding: "these short periods allow RM to quickly overtake
 EDF.  Nevertheless, CSD continues to be superior to both."
 """
 
-from common import bench_task_counts, bench_workers, bench_workloads, publish
-from repro.analysis import ascii_series
-from repro.sim.breakdown import figure_series
-
-POLICIES = ("csd-4", "csd-3", "csd-2", "edf", "rm")
+from common import bench_task_counts, bench_workers, bench_workloads, publish_artifact
+from repro import artifacts
 
 
 def test_figure5(benchmark):
-    def run():
-        return figure_series(
-            bench_task_counts(),
-            POLICIES,
-            workloads_per_point=bench_workloads(),
-            seed=1,
-            workers=bench_workers(),
-            period_divisor=3,
-        )
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
-    publish(
-        "figure5",
-        ascii_series(
-            series.task_counts,
-            {p: series.values[p] for p in POLICIES},
-            title=(
-                "Figure 5: average breakdown utilization (%), periods / 3 "
-                f"({series.workloads_per_point} workloads/point)"
-            ),
-            x_label="n",
-        ),
+    values = publish_artifact(
+        benchmark,
+        artifacts.figure5,
+        workloads_per_point=bench_workloads(),
+        task_counts=bench_task_counts(),
+        workers=bench_workers(),
     )
 
-    by = series.values
-    last = len(series.task_counts) - 1
+    by = values["breakdown"]
+    last = len(values["task_counts"]) - 1
     # RM overtakes EDF at large n with short periods.
     assert by["rm"][last] > by["edf"][last]
     # CSD superior to both across the range's tail.

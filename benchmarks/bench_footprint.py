@@ -8,88 +8,20 @@ checks the whole repo's applications stay inside the paper's memory
 envelope -- plus the mailbox-vs-state-message memory trade-off.
 """
 
-import importlib
-import sys
-from pathlib import Path
-
-from common import publish
-from repro.analysis import format_table
-from repro.core.edf import EDFScheduler
-from repro.core.overhead import ZERO_OVERHEAD
-from repro.kernel.footprint import KERNEL_CODE_BYTES, kernel_footprint
-from repro.kernel.kernel import Kernel
-
-sys.path.insert(0, str(Path(__file__).parent.parent / "examples"))
+from common import publish_artifact
+from repro import artifacts
 
 
-def test_example_footprints(benchmark):
-    def account():
-        rows = []
-        for name in ("quickstart", "engine_control", "voice_pipeline"):
-            module = importlib.import_module(name)
-            if name == "engine_control":
-                kernel = module.build_kernel("emeralds")
-            else:
-                kernel = module.build_kernel()
-            report = kernel_footprint(kernel)
-            rows.append(
-                [
-                    name,
-                    report.data_bytes,
-                    report.total_bytes,
-                    "yes" if report.fits(32 * 1024) else "NO",
-                    "yes" if report.fits(128 * 1024) else "NO",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(account, rounds=1, iterations=1)
-    publish(
-        "footprint",
-        format_table(
-            ["application", "data (B)", "code+data (B)", "fits 32 KB", "fits 128 KB"],
-            rows,
-            title=(
-                f"Memory footprint (kernel code {KERNEL_CODE_BYTES} B, the "
-                "paper's 13 KB): the Section 2 parts have 32-128 KB total"
-            ),
-        ),
-    )
+def test_footprint(benchmark):
+    values = publish_artifact(benchmark, artifacts.footprint)
     # Everything must fit the paper's top-end part; the modest apps
     # must fit the bottom-end part too.
-    assert all(r[4] == "yes" for r in rows)
-    assert rows[0][3] == "yes"  # quickstart fits 32 KB
-
-
-def test_state_message_memory_tradeoff(benchmark):
-    """Distributing one value to k readers: k mailboxes of depth d vs
-    one N-slot channel.  The state message wins on RAM too."""
-
-    def account():
-        rows = []
-        for readers in (2, 4, 8):
-            mk = Kernel(EDFScheduler(ZERO_OVERHEAD))
-            for i in range(readers):
-                mk.create_mailbox(f"m{i}", capacity=4, max_message_size=16)
-            mailbox_bytes = kernel_footprint(mk).data_bytes
-
-            sk = Kernel(EDFScheduler(ZERO_OVERHEAD))
-            sk.create_channel("c", slots=4)
-            state_bytes = kernel_footprint(sk).data_bytes
-            rows.append([readers, mailbox_bytes, state_bytes])
-        return rows
-
-    rows = benchmark.pedantic(account, rounds=1, iterations=1)
-    publish(
-        "footprint_ipc",
-        format_table(
-            ["readers", "k mailboxes (B)", "one state channel (B)"],
-            rows,
-            title="RAM to distribute one value to k readers",
-        ),
-    )
-    for readers, mailbox_bytes, state_bytes in rows:
-        assert state_bytes < mailbox_bytes
-    # Mailbox memory grows with readers; the channel does not.
-    assert rows[-1][1] > rows[0][1]
-    assert rows[-1][2] == rows[0][2]
+    reports = values["reports"]
+    assert all(r.fits(128 * 1024) for r in reports.values())
+    assert reports["quickstart"].fits(32 * 1024)
+    # One value to k readers: the state message wins on RAM too, and
+    # mailbox memory grows with readers while the channel's does not.
+    ipc_bytes = list(values["ipc_data_bytes"].values())
+    assert all(state < mailbox for mailbox, state in ipc_bytes)
+    assert ipc_bytes[-1][0] > ipc_bytes[0][0]
+    assert ipc_bytes[-1][1] == ipc_bytes[0][1]

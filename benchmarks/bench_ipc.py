@@ -15,125 +15,25 @@ the reader count and of the message size (mailbox copies are per-byte;
 state-message slots are fixed).
 """
 
-from common import publish
-from repro.analysis import format_table
+from common import publish_artifact
+from repro import artifacts
 from repro.core.edf import EDFScheduler
 from repro.core.overhead import OverheadModel
 from repro.kernel.kernel import Kernel
-from repro.kernel.program import Compute, Program, Recv, Send, StateRead, StateWrite
-from repro.timeunits import ms, to_us, us
+from repro.kernel.program import Program, StateRead, StateWrite
+from repro.timeunits import ms
 
 
-def run_mailbox(readers: int, size: int, periods: int = 50) -> float:
-    """Kernel ns per distributed value using per-reader mailboxes."""
-    kernel = Kernel(EDFScheduler(OverheadModel()))
-    for i in range(readers):
-        kernel.create_mailbox(f"m{i}", capacity=2, max_message_size=max(64, size))
-    kernel.create_thread(
-        "writer",
-        Program([Send(f"m{i}", size=size, payload="v") for i in range(readers)]),
-        period=ms(10),
-        deadline=ms(2),
-    )
-    for i in range(readers):
-        kernel.create_thread(
-            f"reader{i}",
-            Program([Recv(f"m{i}"), Compute(us(10))]),
-            period=ms(10),
-            deadline=ms(5 + i),
-        )
-    trace = kernel.run_until(ms(10) * periods)
-    return _ipc_time(trace) / periods
-
-
-def run_state_message(readers: int, size: int, periods: int = 50) -> float:
-    """Kernel ns per distributed value using one state channel."""
-    kernel = Kernel(EDFScheduler(OverheadModel()))
-    kernel.create_channel("c", slots=4)
-    kernel.create_thread(
-        "writer",
-        Program([StateWrite("c", value="v")]),
-        period=ms(10),
-        deadline=ms(2),
-    )
-    for i in range(readers):
-        kernel.create_thread(
-            f"reader{i}",
-            Program([StateRead("c"), Compute(us(10))]),
-            period=ms(10),
-            deadline=ms(5 + i),
-        )
-    trace = kernel.run_until(ms(10) * periods)
-    return _ipc_time(trace) / periods
-
-
-def _ipc_time(trace) -> int:
-    """Kernel time attributable to the IPC mechanism itself: copies,
-    traps, and slot operations.  Scheduling and context-switch costs
-    are common to both designs and excluded."""
-    return (
-        trace.kernel_time.get("ipc", 0)
-        + trace.kernel_time.get("syscall", 0)
-        + trace.kernel_time.get("state-msg", 0)
-    )
-
-
-def test_ipc_vs_reader_count(benchmark):
-    def sweep():
-        rows = []
-        for readers in (1, 2, 4, 8):
-            mbox = run_mailbox(readers, size=16)
-            state = run_state_message(readers, size=16)
-            rows.append(
-                [
-                    readers,
-                    f"{to_us(round(mbox)):.1f}",
-                    f"{to_us(round(state)):.1f}",
-                    f"{mbox / state:.2f}x",
-                ]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    publish(
-        "ipc_readers",
-        format_table(
-            ["readers", "mailbox (us/period)", "state msg (us/period)", "ratio"],
-            rows,
-            title="Reconstructed Sec. 7: kernel time to distribute one 16-byte value",
-        ),
-    )
+def test_ipc(benchmark):
+    values = publish_artifact(benchmark, artifacts.ipc)
     # State messages must win, and the gap must grow with reader count.
-    ratios = [float(r[3][:-1]) for r in rows]
+    ratios = [m / s for m, s in values["by_readers_ns"].values()]
     assert all(r > 1.0 for r in ratios)
     assert ratios[-1] > ratios[0]
-
-
-def test_ipc_vs_message_size(benchmark):
-    def sweep():
-        rows = []
-        for size in (8, 32, 128, 512):
-            mbox = run_mailbox(2, size=size)
-            state = run_state_message(2, size=size)
-            rows.append(
-                [size, f"{to_us(round(mbox)):.1f}", f"{to_us(round(state)):.1f}"]
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    publish(
-        "ipc_sizes",
-        format_table(
-            ["bytes", "mailbox (us/period)", "state msg (us/period)"],
-            rows,
-            title="Reconstructed Sec. 7: per-byte mailbox copies vs fixed-cost slots",
-        ),
-    )
-    mbox_costs = [float(r[1]) for r in rows]
-    state_costs = [float(r[2]) for r in rows]
     # Mailbox cost grows with the message size; state messages do not.
-    assert mbox_costs[-1] > mbox_costs[0]
-    assert state_costs[-1] == state_costs[0]
+    by_size = list(values["by_size_ns"].values())
+    assert by_size[-1][0] > by_size[0][0]
+    assert by_size[-1][1] == by_size[0][1]
 
 
 def test_state_message_has_no_traps(benchmark):

@@ -10,11 +10,9 @@ formula (O(1) flag flips, O(n) scans, O(log n) heap ops).
 
 import pytest
 
-from common import publish
-from repro.analysis import format_table
-from repro.core.overhead import OverheadModel
+from common import publish_artifact
+from repro import artifacts
 from repro.core.queues import ReadyHeap, Schedulable, SortedQueue, UnsortedQueue
-from repro.timeunits import to_us
 
 
 def make_entries(n, ready=True):
@@ -27,74 +25,16 @@ def make_entries(n, ready=True):
     return entries
 
 
-def test_table1_model(benchmark):
-    """Print the Table 1 formulas evaluated at representative n."""
-    model = OverheadModel()
-
-    def build():
-        rows = []
-        for n in (5, 10, 15, 25, 40, 58):
-            rows.append(
-                [
-                    n,
-                    f"{to_us(model.edf_block(n)):.2f}",
-                    f"{to_us(model.edf_unblock(n)):.2f}",
-                    f"{to_us(model.edf_select(n)):.2f}",
-                    f"{to_us(model.rm_block(n)):.2f}",
-                    f"{to_us(model.rm_unblock(n)):.2f}",
-                    f"{to_us(model.rm_select(n)):.2f}",
-                    f"{to_us(model.heap_block(n)):.2f}",
-                    f"{to_us(model.heap_unblock(n)):.2f}",
-                    f"{to_us(model.heap_select(n)):.2f}",
-                ]
-            )
-        return rows
-
-    rows = benchmark(build)
-    table = format_table(
-        [
-            "n",
-            "EDF t_b",
-            "EDF t_u",
-            "EDF t_s",
-            "RM t_b",
-            "RM t_u",
-            "RM t_s",
-            "heap t_b",
-            "heap t_u",
-            "heap t_s",
-        ],
-        rows,
-        title="Table 1: scheduler primitive overheads (us; paper's MC68040 model)",
-    )
-    publish("table1", table)
-
+def test_table1(benchmark):
+    """The Table 1 formulas at representative n, and the heap crossover."""
+    values = publish_artifact(benchmark, artifacts.table1)
     # Paper-exact spot checks.
-    assert to_us(model.edf_select(15)) == pytest.approx(1.2 + 0.25 * 15)
-    assert to_us(model.rm_block(15)) == pytest.approx(1.0 + 0.36 * 15)
-
-
-def test_table1_heap_crossover(benchmark):
-    """Table 1's discussion: the heap only beats the sorted queue for
-    very large n (58 on the paper's hardware)."""
-    model = OverheadModel()
-
-    def crossover():
-        for n in range(2, 200):
-            queue = model.rm_block(n) + model.rm_unblock(n) + 2 * model.rm_select(n)
-            heap = model.heap_block(n) + model.heap_unblock(n) + 2 * model.heap_select(n)
-            if heap < queue:
-                return n
-        return None
-
-    n = benchmark(crossover)
-    publish(
-        "table1_crossover",
-        f"heap implementation first beats the sorted queue at n = {n} "
-        f"(paper: n = 58)",
-    )
-    assert n is not None
-    assert 40 <= n <= 70
+    at15 = values["overheads_us"][15]
+    assert at15["EDF t_s"] == pytest.approx(1.2 + 0.25 * 15)
+    assert at15["RM t_b"] == pytest.approx(1.0 + 0.36 * 15)
+    # Table 1's discussion: the heap only beats the sorted queue for
+    # very large n (58 on the paper's hardware).
+    assert 40 <= values["heap_crossover"] <= 70
 
 
 def test_edf_queue_ops_python_time(benchmark):

@@ -6,74 +6,16 @@ paper's trace shows), then under EDF and CSD-2 with tau1..tau5 on the
 DP queue (no misses).
 """
 
-from common import publish
-from repro.analysis import format_table
-from repro.core.overhead import ZERO_OVERHEAD
-from repro.core.task import table2_workload
-from repro.sim.kernelsim import simulate_workload
-from repro.timeunits import ms
+from common import publish_artifact
+from repro import artifacts
 
 
-def test_figure2_rm_trace(benchmark):
-    workload = table2_workload()
-
-    def run():
-        return simulate_workload(
-            workload, "rm", duration=ms(40), model=ZERO_OVERHEAD
-        )
-
-    kernel, trace = benchmark(run)
-    misses = sorted({j.thread for j in trace.deadline_violations(kernel.now)})
-    gantt = trace.gantt_ascii(
-        0, ms(10), columns=60, threads=[f"tau{i}" for i in range(1, 6)]
-    )
-    publish(
-        "figure2_rm",
-        "Figure 2: RM schedule of the Table 2 workload\n"
-        + gantt
-        + f"\ndeadline misses: {misses} (paper: tau5)",
-    )
-    assert misses == ["tau5"]
+def test_figure2(benchmark):
+    values = publish_artifact(benchmark, artifacts.figure2)
+    assert values["rm_misses"] == ["tau5"]
+    assert values["misses"] == {"edf": 0, "csd-2": 0}
 
 
-def test_figure2_edf_and_csd(benchmark):
-    workload = table2_workload()
-
-    def run():
-        results = {}
-        for policy, splits in (("edf", None), ("csd-2", (5,))):
-            kernel, trace = simulate_workload(
-                workload, policy, duration=ms(200),
-                model=ZERO_OVERHEAD, splits=splits,
-            )
-            results[policy] = len(trace.deadline_violations(kernel.now))
-        return results
-
-    results = benchmark(run)
-    publish(
-        "figure2_alternatives",
-        format_table(
-            ["policy", "deadline misses in 200 ms"],
-            [[p, v] for p, v in results.items()],
-            title="Table 2 workload under EDF and CSD-2 (DP = tau1..tau5)",
-        ),
-    )
-    assert results == {"edf": 0, "csd-2": 0}
-
-
-def test_table2_workload_properties(benchmark):
-    workload = benchmark(table2_workload)
-    rows = [
-        [t.name, t.period / 1e6, t.wcet / 1e6, f"{t.utilization:.3f}"]
-        for t in workload
-    ]
-    rows.append(["total", "", "", f"{workload.utilization:.3f}"])
-    publish(
-        "table2",
-        format_table(
-            ["task", "P (ms)", "c (ms)", "U"],
-            rows,
-            title="Table 2 (reconstructed): U = 0.88, EDF-feasible, RM-infeasible",
-        ),
-    )
-    assert abs(workload.utilization - 0.88) < 0.01
+def test_table2(benchmark):
+    values = publish_artifact(benchmark, artifacts.table2)
+    assert abs(values["utilization"] - 0.88) < 0.01

@@ -11,15 +11,11 @@ We regenerate it two ways:
   and n to confirm each O(.) entry.
 """
 
-import pytest
-
-from common import publish
-from repro.analysis import format_table
+from common import publish_artifact
+from repro import artifacts
 from repro.core.csd import CSDScheduler
 from repro.core.overhead import OverheadModel
 from repro.core.queues import Schedulable
-from repro.core.schedulability import csd_overhead_per_period
-from repro.timeunits import to_us
 
 
 def build_csd3(q, r, n):
@@ -52,30 +48,12 @@ def measured_costs(q, r, n):
     return out
 
 
-def test_table3_structure(benchmark):
-    model = OverheadModel()
-
-    def analytic():
-        rows = []
-        sizes = [8, 12, 20]  # q=8, r=20, n=40
-        for band, idx, asymptotic in (
-            ("DP1", 0, "O(r)"),
-            ("DP2", 1, "O(2r - q)"),
-            ("FP", 2, "O(n - q)"),
-        ):
-            per = csd_overhead_per_period(model, sizes, idx)
-            rows.append([band, asymptotic, f"{to_us(per):.1f}"])
-        return rows
-
-    rows = benchmark(analytic)
-    publish(
-        "table3",
-        format_table(
-            ["band", "paper total", "per-period overhead (us), q=8 r=20 n=40"],
-            rows,
-            title="Table 3: CSD-3 per-band scheduling overhead",
-        ),
-    )
+def test_table3(benchmark):
+    """The analytic table, and the CSD-3 motivation: splitting the DP
+    queue reduces the overhead of the shortest-period tasks (Section
+    5.5.1)."""
+    values = publish_artifact(benchmark, artifacts.table3)
+    assert values["csd3_dp1_ns"] < values["csd2_dp_ns"]
 
 
 def test_dp1_block_is_constant_in_n(benchmark):
@@ -137,22 +115,3 @@ def test_fp_selection_constant_when_no_dp_ready(benchmark):
 
     ts = benchmark(measure)
     assert ts == 3 * model.queue_parse_ns + model.rm_select(26)
-
-
-def test_splitting_reduces_dp1_costs(benchmark):
-    """The CSD-3 motivation: splitting the DP queue reduces the
-    overhead of the shortest-period tasks (Section 5.5.1)."""
-    model = OverheadModel()
-
-    def measure():
-        csd2 = csd_overhead_per_period(model, [20, 20], 0)
-        csd3 = csd_overhead_per_period(model, [10, 10, 20], 0)
-        return csd2, csd3
-
-    csd2, csd3 = benchmark(measure)
-    publish(
-        "table3_split_gain",
-        f"CSD-2 DP-task per-period overhead (r=20): {to_us(csd2):.1f} us\n"
-        f"CSD-3 DP1-task per-period overhead (q=10, r=20): {to_us(csd3):.1f} us",
-    )
-    assert csd3 < csd2

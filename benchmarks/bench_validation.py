@@ -8,38 +8,9 @@ the analysis is operationally sound -- the analytic curves could be
 regenerated (much more slowly) by pure simulation.
 """
 
-from common import publish
-from repro.analysis import format_table
-from repro.sim.validate import validate_breakdown
-from repro.sim.workload import generate_workload
+from common import publish_artifact
+from repro import artifacts
 
 
-def test_validation_table(benchmark):
-    def run():
-        rows = []
-        clean = True
-        for policy in ("edf", "rm", "csd-2", "csd-3"):
-            for seed in (0, 1, 2):
-                w = generate_workload(6, seed=seed, utilization=0.5)
-                result = validate_breakdown(w, policy)
-                rows.append(
-                    [
-                        policy,
-                        seed,
-                        f"{100 * result.breakdown_utilization:.1f}%",
-                        "clean" if result.sound else f"{result.violations} MISSES",
-                    ]
-                )
-                clean = clean and result.sound
-        return rows, clean
-
-    rows, clean = benchmark.pedantic(run, rounds=1, iterations=1)
-    publish(
-        "validation",
-        format_table(
-            ["policy", "workload seed", "analytic breakdown", "kernel at 98%"],
-            rows,
-            title="Analytic-vs-kernel soundness check (2% inside breakdown)",
-        ),
-    )
-    assert clean
+def test_validation(benchmark):
+    assert publish_artifact(benchmark, artifacts.validate)["sound"]

@@ -2,7 +2,10 @@
 
 Every benchmark regenerates one of the paper's tables or figures and
 writes the rendered text into ``benchmarks/results/`` (so the output
-survives pytest's capture) in addition to printing it.
+survives pytest's capture) in addition to printing it.  The paper's
+own artifacts are computed and rendered by :mod:`repro.artifacts`
+(the same functions ``python -m repro.reproduce <target>`` prints);
+their benchmarks publish them via :func:`publish_artifact`.
 
 All benchmarks read their knobs from one place -- here -- either as
 environment variables (how the pytest-run benchmarks are configured)
@@ -239,3 +242,14 @@ def publish(name: str, text: str) -> None:
     (out / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
+
+
+def publish_artifact(benchmark, artifact_fn, **params) -> dict:
+    """Time one full-size :mod:`repro.artifacts` function once, publish
+    each of its texts, and return the values they render."""
+    artifact = benchmark.pedantic(
+        artifact_fn, kwargs={"quick": False, **params}, rounds=1, iterations=1
+    )
+    for name, text in artifact.texts.items():
+        publish(name, text)
+    return artifact.values

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.task import TaskSpec, Workload
 
@@ -139,22 +139,44 @@ def _hyperperiod(workload: Workload) -> int:
     return value
 
 
-def _frame_candidates(workload: Workload, hyperperiod: int) -> List[int]:
-    """Legal minor frames, largest first."""
+def _prime_factors(n: int) -> Dict[int, int]:
+    factors: Dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _frame_candidates(workload: Workload) -> List[int]:
+    """Legal minor frames, largest first.
+
+    The divisors of the hyperperiod no longer than the shortest period,
+    built from the periods' prime factors (the hyperperiod of nearly
+    relatively prime periods is too large to scan for divisors).
+    """
     min_period = min(t.period for t in workload)
-    candidates = []
-    f = 1
-    while f * f <= hyperperiod:
-        if hyperperiod % f == 0:
-            for value in (f, hyperperiod // f):
-                if value <= min_period:
-                    candidates.append(value)
-        f += 1
-    out = []
-    for f in sorted(set(candidates), reverse=True):
-        if all(2 * f - math.gcd(f, t.period) <= t.deadline for t in workload):
-            out.append(f)
-    return out
+    powers: Dict[int, int] = {}
+    for task in workload:
+        for prime, power in _prime_factors(task.period).items():
+            powers[prime] = max(power, powers.get(prime, 0))
+    divisors = [1]
+    for prime, power in powers.items():
+        divisors = [
+            d * prime**k
+            for d in divisors
+            for k in range(power + 1)
+            if d * prime**k <= min_period
+        ]
+    return [
+        f
+        for f in sorted(divisors, reverse=True)
+        if all(2 * f - math.gcd(f, t.period) <= t.deadline for t in workload)
+    ]
 
 
 def build_cyclic_schedule(
@@ -172,7 +194,7 @@ def build_cyclic_schedule(
         raise CyclicScheduleError("utilization exceeds 1")
     hyperperiod = _hyperperiod(workload)
     if frame is None:
-        candidates = _frame_candidates(workload, hyperperiod)
+        candidates = _frame_candidates(workload)
         if not candidates:
             raise CyclicScheduleError(
                 "no minor frame satisfies the frame constraints"

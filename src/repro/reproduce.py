@@ -23,17 +23,13 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis import ascii_series, format_table
-from repro.core.cyclic import CyclicScheduleError, build_cyclic_schedule
-from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
-from repro.core.schedulability import csd_overhead_per_period
-from repro.core.task import TaskSpec, Workload, table2_workload
-from repro.sim.breakdown import figure_series
+from repro import artifacts
+from repro.analysis import format_table
+from repro.core.overhead import OverheadModel
 from repro.sim.kernelsim import simulate_workload
-from repro.sim.semexp import figure11_series
 from repro.timeunits import ms, to_ms, to_us
 
-#: The repository root (``benchmarks/`` and ``examples/`` live there).
+#: The repository root (``benchmarks/`` lives there).
 _REPO = Path(__file__).parent.parent.parent
 
 
@@ -44,265 +40,23 @@ def _banner(title: str) -> None:
     print("=" * 72)
 
 
-def run_table1(quick: bool) -> None:
-    """Print Table 1 (scheduler primitive overheads)."""
-    _banner("Table 1: scheduler primitive overheads (us)")
-    model = OverheadModel()
-    rows = []
-    for n in (5, 10, 15, 25, 40, 58):
-        rows.append(
-            [
-                n,
-                f"{to_us(model.edf_block(n)):.2f}/{to_us(model.edf_unblock(n)):.2f}/"
-                f"{to_us(model.edf_select(n)):.2f}",
-                f"{to_us(model.rm_block(n)):.2f}/{to_us(model.rm_unblock(n)):.2f}/"
-                f"{to_us(model.rm_select(n)):.2f}",
-                f"{to_us(model.heap_block(n)):.2f}/{to_us(model.heap_unblock(n)):.2f}/"
-                f"{to_us(model.heap_select(n)):.2f}",
-            ]
-        )
-    print(
-        format_table(
-            ["n", "EDF t_b/t_u/t_s", "RM t_b/t_u/t_s", "heap t_b/t_u/t_s"], rows
-        )
+#: Each target prints the texts of one artifact of the paper's evaluation.
+TARGETS: Dict[str, Callable[..., artifacts.Artifact]] = {
+    fn.__name__: fn
+    for fn in (
+        artifacts.table1,
+        artifacts.table2,
+        artifacts.figure2,
+        artifacts.table3,
+        artifacts.figure3,
+        artifacts.figure4,
+        artifacts.figure5,
+        artifacts.figure11,
+        artifacts.ipc,
+        artifacts.cyclic,
+        artifacts.footprint,
+        artifacts.validate,
     )
-
-
-def run_table2(quick: bool) -> None:
-    """Print the reconstructed Table 2 workload."""
-    _banner("Table 2 (reconstructed) + breakdown per policy")
-    workload = table2_workload()
-    rows = [
-        [t.name, f"{to_ms(t.period):g}", f"{to_ms(t.wcet):g}"] for t in workload
-    ]
-    print(format_table(["task", "P (ms)", "c (ms)"], rows))
-    print(f"U = {workload.utilization:.3f}")
-
-
-def run_figure2(quick: bool) -> None:
-    """Regenerate Figure 2 traces (RM / EDF / CSD-2)."""
-    _banner("Figure 2: the Table 2 workload under RM / EDF / CSD-2")
-    workload = table2_workload()
-    for policy, splits in (("rm", None), ("edf", None), ("csd-2", (5,))):
-        kernel, trace = simulate_workload(
-            workload, policy, duration=ms(40), model=ZERO_OVERHEAD, splits=splits
-        )
-        misses = sorted({j.thread for j in trace.deadline_violations(kernel.now)})
-        print(f"\n--- {policy} ---  misses: {misses or 'none'}")
-        print(
-            trace.gantt_ascii(
-                0, ms(10), columns=60, threads=[f"tau{i}" for i in range(1, 6)]
-            )
-        )
-
-
-def run_table3(quick: bool) -> None:
-    """Print Table 3 (CSD-3 per-band overheads)."""
-    _banner("Table 3: CSD-3 per-band per-period overheads (q=8, r=20, n=40)")
-    model = OverheadModel()
-    sizes = [8, 12, 20]
-    rows = []
-    for band, idx, asymptotic in (
-        ("DP1", 0, "O(r)"),
-        ("DP2", 1, "O(2r - q)"),
-        ("FP", 2, "O(n - q)"),
-    ):
-        rows.append(
-            [band, asymptotic, f"{to_us(csd_overhead_per_period(model, sizes, idx)):.1f}"]
-        )
-    print(format_table(["band", "paper total", "per-period (us)"], rows))
-
-
-def _run_breakdown_figure(divisor: int, quick: bool) -> None:
-    policies = ("csd-4", "csd-3", "csd-2", "edf", "rm")
-    counts = [5, 15, 30, 50] if quick else list(range(5, 51, 5))
-    workloads = 8 if quick else 25
-    series = figure_series(
-        counts, policies, workloads_per_point=workloads, seed=1,
-        period_divisor=divisor,
-    )
-    print(
-        ascii_series(
-            series.task_counts,
-            {p: series.values[p] for p in policies},
-            title=f"average breakdown utilization (%), periods / {divisor}, "
-            f"{workloads} workloads/point",
-            x_label="n",
-        )
-    )
-
-
-def run_figure3(quick: bool) -> None:
-    """Regenerate Figure 3 (breakdown, base periods)."""
-    _banner("Figure 3: breakdown utilization, base periods")
-    _run_breakdown_figure(1, quick)
-
-
-def run_figure4(quick: bool) -> None:
-    """Regenerate Figure 4 (breakdown, periods / 2)."""
-    _banner("Figure 4: breakdown utilization, periods / 2")
-    _run_breakdown_figure(2, quick)
-
-
-def run_figure5(quick: bool) -> None:
-    """Regenerate Figure 5 (breakdown, periods / 3)."""
-    _banner("Figure 5: breakdown utilization, periods / 3")
-    _run_breakdown_figure(3, quick)
-
-
-def run_figure11(quick: bool) -> None:
-    """Regenerate Figure 11 (semaphore overheads)."""
-    _banner("Figure 11 + Sec 6.4: semaphore acquire/release overhead")
-    lengths = (3, 9, 15, 21, 30) if quick else tuple(range(3, 31, 3))
-    for queue in ("dp", "fp"):
-        rows = figure11_series(queue, lengths)
-        print(
-            ascii_series(
-                [r[0] for r in rows],
-                {
-                    "standard": [to_us(r[1]) for r in rows],
-                    "emeralds": [to_us(r[2]) for r in rows],
-                },
-                title=f"{queue.upper()} queue (us per contended pair)",
-                x_label="queue length",
-            )
-        )
-        print()
-
-
-def run_ipc(quick: bool) -> None:
-    """Regenerate the reconstructed Section 7 IPC comparison."""
-    _banner("Section 7 (reconstructed): mailbox vs state-message IPC")
-    sys.path.insert(0, "benchmarks")
-    from repro.core.edf import EDFScheduler
-    from repro.kernel.kernel import Kernel
-    from repro.kernel.program import Compute, Program, Recv, Send, StateRead, StateWrite
-    from repro.timeunits import us
-
-    def ipc_time(trace):
-        return (
-            trace.kernel_time.get("ipc", 0)
-            + trace.kernel_time.get("syscall", 0)
-            + trace.kernel_time.get("state-msg", 0)
-        )
-
-    rows = []
-    for readers in (1, 2, 4, 8):
-        kernel = Kernel(EDFScheduler(OverheadModel()))
-        for i in range(readers):
-            kernel.create_mailbox(f"m{i}")
-        kernel.create_thread(
-            "writer",
-            Program([Send(f"m{i}", size=16) for i in range(readers)]),
-            period=ms(10), deadline=ms(2),
-        )
-        for i in range(readers):
-            kernel.create_thread(
-                f"r{i}", Program([Recv(f"m{i}"), Compute(us(10))]),
-                period=ms(10), deadline=ms(5 + i),
-            )
-        mailbox_cost = ipc_time(kernel.run_until(ms(500))) / 50
-
-        kernel = Kernel(EDFScheduler(OverheadModel()))
-        kernel.create_channel("c", slots=4)
-        kernel.create_thread(
-            "writer", Program([StateWrite("c", value=1)]), period=ms(10),
-            deadline=ms(2),
-        )
-        for i in range(readers):
-            kernel.create_thread(
-                f"r{i}", Program([StateRead("c"), Compute(us(10))]),
-                period=ms(10), deadline=ms(5 + i),
-            )
-        state_cost = ipc_time(kernel.run_until(ms(500))) / 50
-        rows.append(
-            [readers, f"{to_us(round(mailbox_cost)):.1f}", f"{to_us(round(state_cost)):.1f}"]
-        )
-    print(format_table(["readers", "mailbox us/period", "state msg us/period"], rows))
-
-
-def run_cyclic(quick: bool) -> None:
-    """Quantify the Section 5 cyclic-executive pathologies."""
-    _banner("Section 5 motivation: cyclic executive pathologies")
-
-    def wl(*pairs):
-        return Workload(
-            TaskSpec(name=f"t{i}", period=ms(p), wcet=ms(c))
-            for i, (p, c) in enumerate(pairs)
-        )
-
-    for name, w in (
-        ("harmonic 10/20/40", wl((10, 1), (20, 2), (40, 2))),
-        ("prime 7/11/13/17", wl((7, 1), (11, 1), (13, 1), (17, 1))),
-    ):
-        try:
-            schedule = build_cyclic_schedule(w)
-            print(
-                f"{name}: hyperperiod {to_ms(schedule.hyperperiod):.0f} ms, "
-                f"{schedule.table_entries} table entries, "
-                f"{schedule.table_bytes} bytes"
-            )
-        except CyclicScheduleError as exc:
-            print(f"{name}: UNSCHEDULABLE ({exc})")
-
-
-def run_footprint(quick: bool) -> None:
-    """Report example-application memory footprints."""
-    _banner("Small-memory footprint of the example applications")
-    import importlib
-
-    from repro.kernel.footprint import kernel_footprint
-
-    sys.path.insert(0, str(_REPO / "examples"))
-    for name in ("quickstart", "engine_control", "voice_pipeline"):
-        try:
-            module = importlib.import_module(name)
-        except ImportError:
-            print(f"{name}: examples/ not on path; skipped")
-            continue
-        kernel = (
-            module.build_kernel("emeralds")
-            if name == "engine_control"
-            else module.build_kernel()
-        )
-        report = kernel_footprint(kernel)
-        print(
-            f"{name:>15}: {report.total_bytes:6d} B code+data "
-            f"(fits 32 KB: {report.fits(32 * 1024)})"
-        )
-
-
-def run_validate(quick: bool) -> None:
-    """Analytic-vs-kernel soundness spot checks."""
-    _banner("Soundness: analytic breakdown vs the live kernel (2% inside)")
-    from repro.sim.validate import validate_breakdown
-    from repro.sim.workload import generate_workload
-
-    policies = ("edf", "rm") if quick else ("edf", "rm", "csd-2", "csd-3")
-    for policy in policies:
-        for seed in (0, 1):
-            w = generate_workload(6, seed=seed, utilization=0.5)
-            result = validate_breakdown(w, policy)
-            verdict = "clean" if result.sound else f"{result.violations} MISSES"
-            print(
-                f"{policy:>6} seed {seed}: breakdown "
-                f"{100 * result.breakdown_utilization:.1f}% -> kernel {verdict}"
-            )
-
-
-TARGETS: Dict[str, Callable[[bool], None]] = {
-    "table1": run_table1,
-    "table2": run_table2,
-    "figure2": run_figure2,
-    "table3": run_table3,
-    "figure3": run_figure3,
-    "figure4": run_figure4,
-    "figure5": run_figure5,
-    "figure11": run_figure11,
-    "ipc": run_ipc,
-    "cyclic": run_cyclic,
-    "footprint": run_footprint,
-    "validate": run_validate,
 }
 
 
@@ -954,7 +708,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _root_parser().parse_args(raw)
     started = time.time()
     for target in args.targets or TARGETS:
-        TARGETS[target](args.quick)
+        _banner(_summary(TARGETS[target]))
+        for text in TARGETS[target](quick=args.quick).texts.values():
+            print()
+            print(text)
     print(f"\ndone in {time.time() - started:.1f} s")
     return 0
 

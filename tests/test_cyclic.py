@@ -1,10 +1,14 @@
 """Tests for the cyclic time-slice executive baseline (Section 5 intro)."""
 
+import math
+
 import pytest
 
 from repro.core.cyclic import (
     CyclicScheduleError,
     TABLE_ENTRY_BYTES,
+    _frame_candidates,
+    _hyperperiod,
     build_cyclic_schedule,
 )
 from repro.core.task import TaskSpec, Workload, table2_workload
@@ -61,6 +65,31 @@ class TestConstruction:
     def test_explicit_frame_must_divide(self):
         with pytest.raises(CyclicScheduleError):
             build_cyclic_schedule(wl((10, 2), (20, 2)), frame=ms(3))
+
+    @pytest.mark.parametrize(
+        "periods, deadlines",
+        [
+            ((12, 18, 30), (12, 18, 30)),
+            ((7, 11, 13), (7, 11, 13)),
+            ((60, 84, 90), (40, 84, 50)),
+            ((64, 96, 100, 150), (64, 96, 100, 150)),
+        ],
+    )
+    def test_frame_candidates_match_a_divisor_scan(self, periods, deadlines):
+        """Candidates built from the periods' prime factors are exactly
+        the hyperperiod's legal divisors up to the shortest period."""
+        w = Workload(
+            TaskSpec(name=f"t{i}", period=p, wcet=1, deadline=d)
+            for i, (p, d) in enumerate(zip(periods, deadlines))
+        )
+        hyperperiod = _hyperperiod(w)
+        scan = [
+            f
+            for f in range(min(periods), 0, -1)
+            if hyperperiod % f == 0
+            and all(2 * f - math.gcd(f, t.period) <= t.deadline for t in w)
+        ]
+        assert _frame_candidates(w) == scan
 
     def test_table_bytes(self):
         schedule = build_cyclic_schedule(wl((10, 2), (20, 5)))

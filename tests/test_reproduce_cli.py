@@ -1,8 +1,12 @@
 """Smoke tests for the command-line reproduction harness."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import reproduce
+
+RESULTS = Path(reproduce.__file__).parent.parent.parent / "benchmarks" / "results"
 
 
 @pytest.mark.parametrize(
@@ -13,6 +17,26 @@ def test_cheap_targets_run(target, capsys):
     out = capsys.readouterr().out
     assert "done in" in out
     assert len(out) > 100
+
+
+@pytest.mark.parametrize(
+    "target, stems",
+    [
+        ("table1", ["table1", "table1_crossover"]),
+        ("table2", ["table2"]),
+        ("figure2", ["figure2_rm", "figure2_alternatives"]),
+        ("table3", ["table3", "table3_split_gain"]),
+        ("cyclic", ["cyclic_table_size", "cyclic_aperiodic", "cyclic_brittleness"]),
+        ("ipc", ["ipc_readers", "ipc_sizes"]),
+        ("footprint", ["footprint", "footprint_ipc"]),
+    ],
+)
+def test_target_prints_committed_artifact(target, stems, capsys):
+    """Full mode prints the very texts the benchmarks publish."""
+    assert reproduce.main([target]) == 0
+    out = capsys.readouterr().out
+    for stem in stems:
+        assert (RESULTS / f"{stem}.txt").read_text() in out, stem
 
 
 def test_figure11_quick(capsys):
