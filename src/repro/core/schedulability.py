@@ -28,26 +28,26 @@ period, with the component costs drawn from the
 :class:`~repro.core.overhead.OverheadModel` according to the queue the
 task lives on (the four cases of Section 5.4 / Table 3 for CSD).
 
-Demand-based tests cap the number of inspected testing points
-(:data:`MAX_TEST_POINTS`); a workload whose synchronous busy period
-needs more points is declared infeasible.  This only triggers with
-utilization extremely close to the breakdown point and is uniformly
-(slightly) pessimistic across all policies, so figure *shapes* are
-unaffected.
+No verdict depends on an enumeration or iteration cap.  The demand
+test is Quick Processor-demand Analysis (Zhang & Burns, IEEE TC 2009)
+over an exact horizon (:func:`_demand_horizon`), with utilization
+computed exactly in integers; response-time iterations are bounded by
+the deadline alone and warm-start each priority level from the one
+above (Sjodin & Hansson, RTSS 1998).  Both costs grow as ``1 / (1 -
+U)`` near full utilization, which is why the breakdown search
+(:mod:`repro.sim.breakdown`) never probes the ``U' = 1`` edge itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.task import TaskSpec, Workload
 
 __all__ = [
     "BLOCKING_FACTOR",
-    "MAX_TEST_POINTS",
     "edf_overhead_per_period",
     "rm_overhead_per_period",
     "heap_overhead_per_period",
@@ -66,18 +66,6 @@ __all__ = [
 #: of the mandatory block/unblock at the period boundary, so on average
 #: each task pays 1.5x the basic per-period scheduler cost.
 BLOCKING_FACTOR = 1.5
-
-#: Cap on demand-analysis testing points per band (see module docstring).
-MAX_TEST_POINTS = 4096
-
-#: Cap on busy-period fixed-point iterations.
-_MAX_BUSY_ITERATIONS = 256
-
-
-def _ceil_div(a: int, b: int) -> int:
-    """Ceiling division for non-negative integers."""
-    return -(-a // b)
-
 
 # ----------------------------------------------------------------------
 # Per-period run-time overheads (Section 5.1, Section 5.4)
@@ -178,58 +166,6 @@ def inflate(task: TaskSpec, overhead_ns: int) -> int:
 # EDF (processor demand analysis)
 # ----------------------------------------------------------------------
 
-def _demand_points(
-    tasks: Sequence[TaskSpec], horizon: int, cap: int = MAX_TEST_POINTS
-) -> Optional[List[int]]:
-    """Absolute deadlines of ``tasks`` in ``(0, horizon]``.
-
-    Returns ``None`` if more than ``cap`` points would be generated.
-    """
-    points = set()
-    for task in tasks:
-        deadline = task.deadline
-        count = 0
-        t = deadline
-        while t <= horizon:
-            points.add(t)
-            count += 1
-            if len(points) > cap:
-                return None
-            t = deadline + count * task.period
-    return sorted(points)
-
-
-def _busy_period(costs: Sequence[Tuple[int, int]]) -> Optional[int]:
-    """Synchronous busy period of periodic tasks ``(period, cost)``.
-
-    Returns ``None`` when the fixed point fails to converge (U >= 1 or
-    iteration cap hit).
-    """
-    total = sum(c for _, c in costs)
-    if total == 0:
-        return 0
-    utilization = sum(c / p for p, c in costs)
-    if utilization >= 1.0:
-        return None
-    length = total
-    for _ in range(_MAX_BUSY_ITERATIONS):
-        nxt = sum(_ceil_div(length, p) * c for p, c in costs)
-        if nxt == length:
-            return length
-        length = nxt
-    return None
-
-
-def _lcm_capped(periods: Sequence[int], cap: int = 1_000_000_000_000) -> Optional[int]:
-    """LCM of the periods, or ``None`` when it exceeds ``cap`` ns."""
-    value = 1
-    for p in periods:
-        value = value * p // math.gcd(value, p)
-        if value > cap:
-            return None
-    return value
-
-
 def edf_schedulable(
     workload: Workload,
     model: OverheadModel = ZERO_OVERHEAD,
@@ -239,7 +175,7 @@ def edf_schedulable(
 
     With implicit deadlines this is the classic ``U' <= 1`` bound
     (Liu & Layland via [21]); with constrained deadlines, processor
-    demand analysis over the synchronous busy period.
+    demand analysis (:func:`_demand_feasible`).
     """
     n = len(workload)
     if n == 0:
@@ -254,6 +190,60 @@ def edf_schedulable(
     return _demand_feasible(list(workload), [c for _, c in inflated], [])
 
 
+def _demand_horizon(
+    band: Sequence[Tuple[int, int, int]],
+    interference: Sequence[Tuple[int, int]],
+    everything: Sequence[Tuple[int, int]],
+    hyperperiod: int,
+    work: int,
+) -> int:
+    """Horizon of the demand test: no later band deadline needs a check.
+
+    ``band`` holds ``(deadline, period, cost)``; ``everything`` the
+    ``(period, cost)`` of band and interference together, whose
+    utilization is ``work / hyperperiod <= 1``.  The horizon is the
+    smaller of two exact bounds:
+
+    * the synchronous busy period ``L_b``, the least fixed point of
+      ``L = sum(ceil(L / P) * c)`` (at most the hyperperiod, because
+      the released work over one hyperperiod is ``U * H <= H``);
+    * ``L_a = max(D_max, K / (1 - U))`` with
+      ``K = sum_band c (P - D) / P + sum_interference c``: from
+      ``D_max`` on, ``h(t) <= U t + K``, so ``h(t) > t`` forces
+      ``t < K / (1 - U)`` (Zhang & Burns, IEEE TC 2009).
+
+    The busy-period iteration stops as soon as it passes ``L_a``, so
+    the cost is set by the smaller bound.
+    """
+    bound = hyperperiod
+    if work < hyperperiod:
+        # K / (1 - U) over the common denominator H: K H / (H - U H).
+        k_times_h = sum(
+            c * (p - d) * (hyperperiod // p) for d, p, c in band
+        ) + hyperperiod * sum(c for _, c in interference)
+        bound = max(max(d for d, _, _ in band), k_times_h // (hyperperiod - work))
+    length = sum(c for _, c in everything)
+    while length < bound:
+        nxt = 0
+        for p, c in everything:
+            nxt -= (-length // p) * c
+        if nxt == length:
+            return length
+        length = nxt
+    return bound
+
+
+def _last_deadline_before(band: Sequence[Tuple[int, int, int]], t: int) -> int:
+    """Largest absolute deadline ``D + k P < t`` of the band (0 if none)."""
+    last = 0
+    for d, p, _ in band:
+        if d < t:
+            candidate = d + (t - d - 1) // p * p
+            if candidate > last:
+                last = candidate
+    return last
+
+
 def _demand_feasible(
     band: List[TaskSpec],
     band_costs: List[int],
@@ -263,50 +253,112 @@ def _demand_feasible(
 
     ``interference`` is a list of ``(period, cost)`` pairs of strictly
     higher-priority periodic tasks (higher CSD bands); their worst-case
-    interference over ``[0, t)`` is ``sum(ceil(t / P) * c)``.
+    interference over ``[0, t)`` is ``ceil(t / P) * c``.  The band is
+    feasible iff ``h(t) <= t`` at every absolute band deadline ``t`` up
+    to the horizon (:func:`_demand_horizon`), where
+
+        h(t) = sum_band ((t - D) // P + 1) c + sum_interference ceil(t / P) c.
+
+    The deadlines are visited by Quick Processor-demand Analysis (QPA,
+    Zhang & Burns, IEEE TC 2009), adapted to the interference terms:
+    from the last deadline before the horizon, while ``h(t) <= t``,
+    jump back to ``h(t)`` when it is below ``t`` (``h`` is
+    non-decreasing, so every ``t'`` in ``[h(t), t]`` has
+    ``h(t') <= h(t) <= t'``), else step back to the band's previous
+    deadline.  Interference steps need no visit: only band deadlines
+    are test points.  The walk ends feasible once ``h(t)`` drops to the
+    smallest relative deadline, below which there is no test point.
     """
     if not band:
         return True
-    costs = [(t.period, c) for t, c in zip(band, band_costs)]
-    everything = costs + list(interference)
-    utilization = sum(c / p for p, c in everything)
-    if utilization > 1.0:
+    jobs = [(t.deadline, t.period, c) for t, c in zip(band, band_costs)]
+    everything = [(p, c) for _, p, c in jobs] + list(interference)
+    # Exact utilization U = work / H over the hyperperiod H.
+    hyperperiod = math.lcm(*(p for p, _ in everything))
+    work = sum(c * (hyperperiod // p) for p, c in everything)
+    if work > hyperperiod:
         return False
-    if not interference and all(t.deadline >= t.period for t in band):
+    if not interference and all(d >= p for d, p, _ in jobs):
         # Pure EDF band with implicit deadlines: U <= 1 is exact.
         return True
-    if utilization == 1.0:
-        # The busy period diverges exactly at U = 1; the synchronous
-        # schedule repeats with the hyperperiod, so checking one
-        # hyperperiod is decisive.
-        horizon = _lcm_capped([p for p, _ in everything])
-        if horizon is None:
-            return False  # hyperperiod too large; knife-edge case
-    else:
-        horizon = _busy_period(everything)
-        if horizon is None:
-            return False
-    if horizon == 0:
-        return True
-    points = _demand_points(band, horizon)
-    if points is None:
-        return False
-    for t in points:
+    horizon = _demand_horizon(jobs, interference, everything, hyperperiod, work)
+    d_min = min(d for d, _, _ in jobs)
+    t = _last_deadline_before(jobs, horizon + 1)
+    while t > 0:
         demand = 0
-        for task, cost in zip(band, band_costs):
-            jobs = (t - task.deadline) // task.period + 1
-            if jobs > 0:
-                demand += jobs * cost
-        for period, cost in interference:
-            demand += _ceil_div(t, period) * cost
+        for d, p, c in jobs:
+            if t >= d:
+                demand += ((t - d) // p + 1) * c
+        for p, c in interference:
+            demand -= (-t // p) * c
         if demand > t:
             return False
+        if demand <= d_min:
+            return True
+        t = demand if demand < t else _last_deadline_before(jobs, t)
     return True
 
 
 # ----------------------------------------------------------------------
 # RM / fixed priority (response-time analysis)
 # ----------------------------------------------------------------------
+
+def _response_time(
+    cost: int, deadline: int, higher: Sequence[Tuple[int, int]], start: int = 0
+) -> Optional[int]:
+    """Least RTA fixed point ``R = cost + sum(ceil(R / P) * c)``, or
+    ``None`` once it exceeds ``deadline``.
+
+    ``start`` must be a lower bound on the fixed point; the iteration
+    climbs from ``max(cost, start)`` and is bounded by the deadline.
+    """
+    response = max(cost, start)
+    while response <= deadline:
+        nxt = cost
+        for p, c in higher:
+            nxt -= (-response // p) * c
+        if nxt == response:
+            return response
+        response = nxt
+    return None
+
+
+def _fp_response_times(
+    tasks: Sequence[TaskSpec],
+    costs: Sequence[int],
+    interference: Sequence[Tuple[int, int]] = (),
+) -> Iterator[Optional[int]]:
+    """Response time of each task, highest priority first (``None`` for
+    a miss), under fixed priorities below ``interference``.
+
+    Each level warm-starts from ``R_k + C_i``, where ``R_k`` is the
+    last response time found: ``R_i >= R_{i-1} + C_i`` because task
+    ``i`` waits for everything task ``i-1`` waits for, and task ``i-1``
+    itself (Sjodin & Hansson, RTSS 1998).  A zero-cost task has the
+    response time 0, so it starts cold.
+    """
+    higher = list(interference)
+    previous = 0
+    for task, cost in zip(tasks, costs):
+        start = previous + cost if cost else 0
+        response = _response_time(cost, task.deadline, higher, start)
+        if response is not None:
+            previous = response
+        yield response
+        higher.append((task.period, cost))
+
+
+def _rm_costs(
+    workload: Workload, model: OverheadModel, blocking_factor: float, heap: bool
+) -> List[int]:
+    n = len(workload)
+    per_period = (
+        heap_overhead_per_period(model, n, blocking_factor)
+        if heap
+        else rm_overhead_per_period(model, n, blocking_factor)
+    )
+    return [inflate(t, per_period) for t in workload]
+
 
 def rm_response_times(
     workload: Workload,
@@ -316,37 +368,8 @@ def rm_response_times(
 ) -> Dict[str, Optional[int]]:
     """Worst-case response time of each task under RM, or ``None`` when
     the fixed point exceeds the deadline (task unschedulable)."""
-    n = len(workload)
-    per_period = (
-        heap_overhead_per_period(model, n, blocking_factor)
-        if heap
-        else rm_overhead_per_period(model, n, blocking_factor)
-    )
-    inflated = [inflate(t, per_period) for t in workload]
-    results: Dict[str, Optional[int]] = {}
-    for i, task in enumerate(workload):
-        results[task.name] = _response_time(
-            inflated[i],
-            task.deadline,
-            [(workload[j].period, inflated[j]) for j in range(i)],
-        )
-    return results
-
-
-def _response_time(
-    cost: int, deadline: int, higher: Sequence[Tuple[int, int]]
-) -> Optional[int]:
-    """Classic RTA fixed point; ``None`` if it climbs past the deadline."""
-    response = cost
-    for _ in range(_MAX_BUSY_ITERATIONS):
-        interference = sum(_ceil_div(response, p) * c for p, c in higher)
-        nxt = cost + interference
-        if nxt == response:
-            return response
-        if nxt > deadline:
-            return None
-        response = nxt
-    return None
+    costs = _rm_costs(workload, model, blocking_factor, heap)
+    return dict(zip(workload.names(), _fp_response_times(workload, costs)))
 
 
 def rm_schedulable(
@@ -355,11 +378,18 @@ def rm_schedulable(
     blocking_factor: float = BLOCKING_FACTOR,
     heap: bool = False,
 ) -> bool:
-    """Exact RM feasibility (response-time analysis) with overheads."""
-    if len(workload) == 0:
-        return True
-    responses = rm_response_times(workload, model, blocking_factor, heap=heap)
-    return all(r is not None for r in responses.values())
+    """Exact RM feasibility (response-time analysis) with overheads;
+    stops at the first task that misses."""
+    costs = _rm_costs(workload, model, blocking_factor, heap)
+    return all(r is not None for r in _fp_response_times(workload, costs))
+
+
+def _dm_order(
+    workload: Workload, model: OverheadModel, blocking_factor: float
+) -> Tuple[List[TaskSpec], List[int]]:
+    per_period = rm_overhead_per_period(model, len(workload), blocking_factor)
+    ordered = sorted(workload, key=lambda t: (t.deadline, t.name))
+    return ordered, [inflate(t, per_period) for t in ordered]
 
 
 def dm_response_times(
@@ -374,18 +404,8 @@ def dm_response_times(
     fixed-priority assignment for constrained deadlines (d <= P).
     Priorities order by relative deadline, shortest first.
     """
-    n = len(workload)
-    per_period = rm_overhead_per_period(model, n, blocking_factor)
-    ordered = sorted(workload, key=lambda t: (t.deadline, t.name))
-    inflated = [inflate(t, per_period) for t in ordered]
-    results: Dict[str, Optional[int]] = {}
-    for i, task in enumerate(ordered):
-        results[task.name] = _response_time(
-            inflated[i],
-            task.deadline,
-            [(ordered[j].period, inflated[j]) for j in range(i)],
-        )
-    return results
+    ordered, costs = _dm_order(workload, model, blocking_factor)
+    return {t.name: r for t, r in zip(ordered, _fp_response_times(ordered, costs))}
 
 
 def dm_schedulable(
@@ -394,10 +414,8 @@ def dm_schedulable(
     blocking_factor: float = BLOCKING_FACTOR,
 ) -> bool:
     """Exact deadline-monotonic feasibility with overheads."""
-    if len(workload) == 0:
-        return True
-    responses = dm_response_times(workload, model, blocking_factor)
-    return all(r is not None for r in responses.values())
+    ordered, costs = _dm_order(workload, model, blocking_factor)
+    return all(r is not None for r in _fp_response_times(ordered, costs))
 
 
 # ----------------------------------------------------------------------
@@ -466,11 +484,7 @@ def csd_schedulable(
 
     # FP band: response-time analysis; every DP task interferes, plus
     # higher-priority FP tasks.
-    fp_tasks = bands[-1]
-    fp_costs = band_costs[-1]
-    for i, task in enumerate(fp_tasks):
-        higher = list(interference)
-        higher.extend((fp_tasks[j].period, fp_costs[j]) for j in range(i))
-        if _response_time(fp_costs[i], task.deadline, higher) is None:
-            return False
-    return True
+    return all(
+        r is not None
+        for r in _fp_response_times(bands[-1], band_costs[-1], interference)
+    )

@@ -14,7 +14,7 @@ generator; the kernel substrate wraps it into a live
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.timeunits import ms, to_ms
@@ -85,7 +85,17 @@ class TaskSpec:
         """
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        return replace(self, wcet=max(0, round(self.wcet * factor)))
+        # Not ``dataclasses.replace``: this runs in the breakdown
+        # search's inner loop, and the constructor (which still
+        # validates) costs a fraction of it.
+        return TaskSpec(
+            self.name,
+            self.period,
+            max(0, round(self.wcet * factor)),
+            self.deadline,
+            self.phase,
+            self.blocking_calls,
+        )
 
     def __str__(self) -> str:
         return (

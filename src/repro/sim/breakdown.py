@@ -86,13 +86,15 @@ def _search_max_scale(
     lo: float = 0.0,
     tolerance: float = _SCALE_TOLERANCE,
 ) -> float:
-    """Largest feasible scale in ``[lo, hi]`` by bisection.
+    """Largest feasible scale in ``[lo, hi]`` by bisection, to within
+    ``tolerance``.
 
     ``lo`` must already be known feasible (or zero); ``hi`` is an upper
-    bound beyond which the workload cannot be feasible.
+    bound beyond which the workload cannot be feasible.  ``hi`` itself
+    is never probed, and every probe stays at least ``tolerance / 2``
+    below it: near ``U' = 1`` the exact demand horizon grows as
+    ``1 / (1 - U)``, and no answer needs a probe there.
     """
-    if feasible(hi):
-        return hi
     while hi - lo > tolerance:
         mid = (lo + hi) / 2
         if feasible(mid):
@@ -184,10 +186,10 @@ def _csd_breakdown(
     def evaluate(splits: Tuple[int, ...], incumbent: float) -> Optional[float]:
         """Best scale for ``splits`` if it beats ``incumbent``, else None."""
         cap = _csd_allocation_cap(workload, splits, model, blocking_factor)
-        if cap <= incumbent:
+        if cap - incumbent <= _SCALE_TOLERANCE:
             return None
-        probe = incumbent + _SCALE_TOLERANCE if incumbent > 0 else min(cap, 0.5 / base)
-        probe = min(probe, cap)
+        probe = incumbent + _SCALE_TOLERANCE if incumbent > 0 else 0.5 / base
+        probe = min(probe, cap - _SCALE_TOLERANCE / 2)
         if not feasible(splits, probe):
             if incumbent > 0:
                 return None

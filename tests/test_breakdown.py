@@ -5,7 +5,13 @@ import pytest
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.schedulability import csd_schedulable
 from repro.core.task import TaskSpec, Workload, table2_workload
-from repro.sim.breakdown import POLICIES, breakdown_utilization, figure_series
+from repro.sim.breakdown import (
+    POLICIES,
+    _SCALE_TOLERANCE,
+    _search_max_scale,
+    breakdown_utilization,
+    figure_series,
+)
 from repro.sim.workload import generate_workload
 from repro.timeunits import ms
 
@@ -70,6 +76,22 @@ class TestBreakdownUtilization:
         queue = breakdown_utilization(w, "rm", OverheadModel())
         # For small n the queue implementation wins (Table 1).
         assert queue.utilization >= heap.utilization
+
+
+class TestScaleSearch:
+    @pytest.mark.parametrize("threshold", [0.3, 0.9995, 1.0, 2.0])
+    def test_probes_stay_below_the_cap(self, threshold):
+        """No probe lands within tolerance/2 of ``hi`` (the U' = 1 edge),
+        and the answer is still within the tolerance."""
+        probes = []
+
+        def feasible(scale):
+            probes.append(scale)
+            return scale <= threshold
+
+        found = _search_max_scale(feasible, hi=1.0)
+        assert max(probes) <= 1.0 - _SCALE_TOLERANCE / 2
+        assert min(threshold, 1.0) - _SCALE_TOLERANCE <= found <= threshold
 
 
 class TestPaperOrderings:

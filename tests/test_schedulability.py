@@ -1,14 +1,21 @@
 """Tests for the overhead-aware schedulability analysis (Section 5.2, [36])."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.schedulability import (
+    _demand_feasible,
+    _fp_response_times,
+    _response_time,
     band_sizes_from_splits,
     csd_overhead_per_period,
     csd_schedulable,
+    dm_response_times,
+    dm_schedulable,
     edf_overhead_per_period,
     edf_schedulable,
     rm_overhead_per_period,
@@ -235,3 +242,133 @@ class TestConsistency:
         if csd_schedulable(w, (r,), model):
             smaller = w.scaled(0.5)
             assert csd_schedulable(smaller, (r,), model)
+
+
+class TestTopPriorityDeadline:
+    """The highest-priority FP task has no interference, so its RTA
+    fixed point is its own cost -- which must still meet the deadline."""
+
+    def setup_method(self):
+        self.w = Workload([TaskSpec("t0", period=ms(10), wcet=ms(8), deadline=ms(5))])
+
+    def test_rm_and_dm_report_the_miss(self):
+        assert not rm_schedulable(self.w)
+        assert not dm_schedulable(self.w)
+        assert rm_response_times(self.w) == {"t0": None}
+        assert dm_response_times(self.w) == {"t0": None}
+
+    def test_csd_fp_band_reports_the_miss(self):
+        assert not csd_schedulable(self.w, (0,))
+
+    def test_miss_above_a_lower_priority_task(self):
+        w = Workload(list(self.w) + [TaskSpec("t1", period=ms(100), wcet=ms(1))])
+        assert not rm_schedulable(w)
+        assert rm_response_times(w)["t0"] is None
+
+
+# ----------------------------------------------------------------------
+# Differential tests against a cap-free oracle
+# ----------------------------------------------------------------------
+
+def oracle_busy_period(everything):
+    """Synchronous busy period by plain fixed-point iteration (U <= 1)."""
+    length = sum(c for _, c in everything)
+    while True:
+        nxt = sum(-(-length // p) * c for p, c in everything)
+        if nxt == length:
+            return length
+        length = nxt
+
+
+def oracle_demand_feasible(band, costs, interference):
+    """Every band deadline up to the busy period, no shortcut, no cap."""
+    everything = [(t.period, c) for t, c in zip(band, costs)] + list(interference)
+    if sum(Fraction(c, p) for p, c in everything) > 1:
+        return False
+    horizon = oracle_busy_period(everything)
+    points = set()
+    for task in band:
+        points.update(range(task.deadline, horizon + 1, task.period))
+    for t in sorted(points):
+        demand = sum(
+            max(0, (t - task.deadline) // task.period + 1) * c
+            for task, c in zip(band, costs)
+        )
+        demand += sum(-(-t // p) * c for p, c in interference)
+        if demand > t:
+            return False
+    return True
+
+
+@st.composite
+def demand_problem(draw):
+    """An EDF band with constrained deadlines under FP interference.
+
+    Each task's cost is at most a fair share of the processor plus one,
+    so most sets sit near U = 1 rather than far beyond it.
+    """
+    band_size = draw(st.integers(1, 5))
+    interference_size = draw(st.integers(0, 3))
+    share = band_size + interference_size
+
+    def cost(period):
+        return draw(st.integers(0, period // share + 1))
+
+    band, costs = [], []
+    for i in range(band_size):
+        period = draw(st.integers(2, 60))
+        deadline = draw(st.integers(1, period))
+        band.append(TaskSpec(f"t{i}", period=period, wcet=0, deadline=deadline))
+        costs.append(cost(period))
+    interference = []
+    for _ in range(interference_size):
+        period = draw(st.integers(2, 60))
+        interference.append((period, cost(period)))
+    return band, costs, interference
+
+
+class TestDemandAnalysis:
+    @given(demand_problem())
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    def test_qpa_matches_cap_free_enumeration(self, problem):
+        band, costs, interference = problem
+        assert _demand_feasible(band, costs, interference) == oracle_demand_feasible(
+            band, costs, interference
+        )
+
+    def test_busy_period_beyond_old_iteration_cap(self):
+        """A CSD-3 DP2 band from the Figure 3 corpus (n=10, with the
+        MC68040 overheads) at 1 - U ~ 7.6e-4: its busy period needs 476
+        fixed-point iterations, past the 256 at which the capped test
+        used to call it infeasible.  The exact verdict is feasible."""
+        band = [
+            TaskSpec(name, period=ms(p), wcet=0)
+            for name, p in (("t3", 48), ("t4", 55), ("t0", 63), ("t9", 78),
+                            ("t6", 242), ("t5", 323), ("t2", 597))
+        ]
+        costs = [2718854, 6194218, 9220763, 5697737, 25711860, 43577215, 80795381]
+        interference = [(ms(7), 878390), (ms(9), 270698), (ms(27), 2119591)]
+        everything = [(t.period, c) for t, c in zip(band, costs)] + interference
+        assert 1 - sum(Fraction(c, p) for p, c in everything) < Fraction(8, 10_000)
+        assert oracle_demand_feasible(band, costs, interference)
+        assert _demand_feasible(band, costs, interference)
+
+
+class TestResponseTimes:
+    @given(st.lists(st.tuples(st.integers(2, 100), st.integers(0, 30),
+                              st.integers(1, 100)), min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(2, 100), st.integers(0, 10)),
+                    max_size=3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_warm_start_equals_cold_start(self, raw, interference):
+        tasks = [
+            TaskSpec(f"t{i}", period=p, wcet=c, deadline=d)
+            for i, (p, c, d) in enumerate(raw)
+        ]
+        costs = [t.wcet for t in tasks]
+        higher = list(interference)
+        cold = []
+        for task in tasks:
+            cold.append(_response_time(task.wcet, task.deadline, higher))
+            higher.append((task.period, task.wcet))
+        assert list(_fp_response_times(tasks, costs, interference)) == cold
