@@ -36,17 +36,26 @@ the deadline alone and warm-start each priority level from the one
 above (Sjodin & Hansson, RTSS 1998).  Both costs grow as ``1 / (1 -
 U)`` near full utilization, which is why the breakdown search
 (:mod:`repro.sim.breakdown`) never probes the ``U' = 1`` edge itself.
+
+The breakdown search tests one workload and allocation at many
+execution-time scales.  ``edf_schedulable``, ``rm_schedulable`` and
+``csd_schedulable`` therefore take a ``scale`` (costs become
+``max(0, round(c * scale)) + t``, the integers ``Workload.scaled``
+yields) and an :class:`AnalysisState` that carries the allocation's
+constants, its verdict bounds and its warm starts from one probe to
+the next.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.task import TaskSpec, Workload
 
 __all__ = [
+    "AnalysisState",
     "BLOCKING_FACTOR",
     "edf_overhead_per_period",
     "rm_overhead_per_period",
@@ -170,24 +179,22 @@ def edf_schedulable(
     workload: Workload,
     model: OverheadModel = ZERO_OVERHEAD,
     blocking_factor: float = BLOCKING_FACTOR,
+    *,
+    scale: Optional[float] = None,
+    state: Optional["AnalysisState"] = None,
 ) -> bool:
     """Exact EDF feasibility with run-time overheads.
 
     With implicit deadlines this is the classic ``U' <= 1`` bound
     (Liu & Layland via [21]); with constrained deadlines, processor
-    demand analysis (:func:`_demand_feasible`).
+    demand analysis (:func:`_demand_feasible`).  ``scale`` and
+    ``state``: see :class:`AnalysisState`.
     """
-    n = len(workload)
-    if n == 0:
-        return True
-    overhead = edf_overhead_per_period(model, n, blocking_factor)
-    inflated = [(t.period, inflate(t, overhead)) for t in workload]
-    utilization = sum(c / p for p, c in inflated)
-    if utilization > 1.0:
-        return False
-    if all(t.deadline >= t.period for t in workload):
-        return True
-    return _demand_feasible(list(workload), [c for _, c in inflated], [])
+    if state is None:
+        state = AnalysisState.for_edf(workload, model, blocking_factor)
+    else:
+        state.check(workload, ("edf", model, blocking_factor))
+    return state.test(scale)
 
 
 def _demand_horizon(
@@ -245,9 +252,10 @@ def _last_deadline_before(band: Sequence[Tuple[int, int, int]], t: int) -> int:
 
 
 def _demand_feasible(
-    band: List[TaskSpec],
-    band_costs: List[int],
-    interference: List[Tuple[int, int]],
+    band: Sequence[TaskSpec],
+    band_costs: Sequence[int],
+    interference: Sequence[Tuple[int, int]],
+    hyperperiod: Optional[int] = None,
 ) -> bool:
     """Processor-demand test for an EDF band under periodic interference.
 
@@ -268,13 +276,17 @@ def _demand_feasible(
     deadline.  Interference steps need no visit: only band deadlines
     are test points.  The walk ends feasible once ``h(t)`` drops to the
     smallest relative deadline, below which there is no test point.
+
+    ``hyperperiod``, the least common multiple of every period involved,
+    is computed when not given.
     """
     if not band:
         return True
     jobs = [(t.deadline, t.period, c) for t, c in zip(band, band_costs)]
     everything = [(p, c) for _, p, c in jobs] + list(interference)
     # Exact utilization U = work / H over the hyperperiod H.
-    hyperperiod = math.lcm(*(p for p, _ in everything))
+    if hyperperiod is None:
+        hyperperiod = math.lcm(*(p for p, _ in everything))
     work = sum(c * (hyperperiod // p) for p, c in everything)
     if work > hyperperiod:
         return False
@@ -348,16 +360,12 @@ def _fp_response_times(
         higher.append((task.period, cost))
 
 
-def _rm_costs(
-    workload: Workload, model: OverheadModel, blocking_factor: float, heap: bool
-) -> List[int]:
-    n = len(workload)
-    per_period = (
-        heap_overhead_per_period(model, n, blocking_factor)
-        if heap
-        else rm_overhead_per_period(model, n, blocking_factor)
-    )
-    return [inflate(t, per_period) for t in workload]
+def _rm_overhead(
+    model: OverheadModel, n: int, blocking_factor: float, heap: bool
+) -> int:
+    if heap:
+        return heap_overhead_per_period(model, n, blocking_factor)
+    return rm_overhead_per_period(model, n, blocking_factor)
 
 
 def rm_response_times(
@@ -368,7 +376,8 @@ def rm_response_times(
 ) -> Dict[str, Optional[int]]:
     """Worst-case response time of each task under RM, or ``None`` when
     the fixed point exceeds the deadline (task unschedulable)."""
-    costs = _rm_costs(workload, model, blocking_factor, heap)
+    per_period = _rm_overhead(model, len(workload), blocking_factor, heap)
+    costs = [inflate(t, per_period) for t in workload]
     return dict(zip(workload.names(), _fp_response_times(workload, costs)))
 
 
@@ -377,11 +386,18 @@ def rm_schedulable(
     model: OverheadModel = ZERO_OVERHEAD,
     blocking_factor: float = BLOCKING_FACTOR,
     heap: bool = False,
+    *,
+    scale: Optional[float] = None,
+    state: Optional["AnalysisState"] = None,
 ) -> bool:
     """Exact RM feasibility (response-time analysis) with overheads;
-    stops at the first task that misses."""
-    costs = _rm_costs(workload, model, blocking_factor, heap)
-    return all(r is not None for r in _fp_response_times(workload, costs))
+    stops at the first task that misses.  ``scale`` and ``state``: see
+    :class:`AnalysisState`."""
+    if state is None:
+        state = AnalysisState.for_rm(workload, model, blocking_factor, heap)
+    else:
+        state.check(workload, ("rm", heap, model, blocking_factor))
+    return state.test(scale)
 
 
 def _dm_order(
@@ -444,47 +460,253 @@ def csd_schedulable(
     splits: Sequence[int],
     model: OverheadModel = ZERO_OVERHEAD,
     blocking_factor: float = BLOCKING_FACTOR,
+    *,
+    scale: Optional[float] = None,
+    state: Optional["AnalysisState"] = None,
 ) -> bool:
     """Feasibility of ``workload`` under CSD with the given allocation.
 
     ``splits`` are cumulative indices into the RM-ordered workload (see
     :func:`band_sizes_from_splits`); tasks before the last split form
-    the DP bands, the rest the FP band.
+    the DP bands, the rest the FP band.  Each EDF band is tested by
+    processor-demand analysis with interference from every higher band,
+    the FP band by response-time analysis with interference from every
+    DP task.  ``scale`` and ``state``: see :class:`AnalysisState`.
     """
-    n = len(workload)
-    if n == 0:
-        return True
-    sizes = band_sizes_from_splits(n, splits)
-    tasks = list(workload)
+    if state is None:
+        state = AnalysisState.for_csd(workload, splits, model, blocking_factor)
+    else:
+        state.check(workload, ("csd", tuple(splits), model, blocking_factor))
+    return state.test(scale)
 
-    # Inflated execution time per band.
-    overheads = [
-        csd_overhead_per_period(model, sizes, k, blocking_factor)
-        for k in range(len(sizes))
-    ]
-    bands: List[List[TaskSpec]] = []
-    band_costs: List[List[int]] = []
-    start = 0
-    for k, size in enumerate(sizes):
-        members = tasks[start : start + size]
-        bands.append(members)
-        band_costs.append([inflate(t, overheads[k]) for t in members])
-        start += size
 
-    # EDF bands, highest priority first, with interference from every
-    # higher band.
-    interference: List[Tuple[int, int]] = []
-    for k in range(len(sizes) - 1):
-        if bands[k]:
-            if not _demand_feasible(bands[k], band_costs[k], interference):
-                return False
-        interference.extend(
-            (t.period, c) for t, c in zip(bands[k], band_costs[k])
+# ----------------------------------------------------------------------
+# Analysis state: one allocation probed at many scales
+# ----------------------------------------------------------------------
+
+class _Band(NamedTuple):
+    """One non-empty DP band: tasks ``[start, end)`` of the RM order,
+    interfered with by every task before ``start``."""
+
+    number: int  # k of "DP<k>", counting empty bands too
+    start: int
+    end: int
+    hyperperiod: int  # of tasks [0, end)
+
+
+class AnalysisState:
+    """One allocation of one workload, tested at many execution-time
+    scales (the probes of a breakdown search).
+
+    Built once per (workload, allocation, overhead model, blocking
+    factor) by :meth:`for_edf`, :meth:`for_rm` or :meth:`for_csd`, and
+    passed as ``state=`` to the matching test, which raises
+    ``ValueError`` for any other workload or allocation.  At ``scale``
+    ``s`` each cost is ``max(0, round(c * s)) + t``, the integers that
+    :meth:`Workload.scaled` and :func:`inflate` give.  Costs never fall
+    as ``s`` rises, so feasibility is monotone in ``s``; the state uses
+    that in four ways, none of which changes a verdict:
+
+    * Verdict bounds.  A probe at or below the largest feasible scale
+      tested so far is feasible, and one at or above the smallest
+      infeasible scale infeasible, with no test.
+    * Passed elements.  A DP band or FP task that passed at some scale
+      passes at every lower one, so a probe skips the elements that
+      passed above it (those before the one that failed, on the way
+      down a bisection).
+    * Response-time floors.  Each FP task's response time at a feasible
+      scale is a lower bound on its response time at any larger scale,
+      so the RTA starts there (Sjodin & Hansson, RTSS 1998).  Every
+      probe that runs a test lies above the largest feasible scale
+      (lower ones are answered by the bounds), so the floors always
+      apply; they are updated only when a whole probe is feasible.
+
+    :attr:`critical` names the DP band or FP task that failed the last
+    tested probe.  Every element before it passed at that probe's scale,
+    above any later tested probe, so it is also the first element the
+    next probe tests.
+    """
+
+    def __init__(
+        self,
+        workload: Workload,
+        key: Tuple,
+        sizes: Sequence[int],
+        overheads: Sequence[int],
+        edf: bool = False,
+    ) -> None:
+        tasks = workload.tasks
+        self.key = key
+        self.tasks = tasks
+        self.periods = [t.period for t in tasks]
+        self.deadlines = [t.deadline for t in tasks]
+        self.wcets = [t.wcet for t in tasks]
+        self.overheads = [o for o, size in zip(overheads, sizes) for _ in range(size)]
+        #: Utilization of the per-period overheads alone.
+        self.overhead_utilization = sum(
+            o / p for o, p in zip(self.overheads, self.periods)
         )
+        # Plain EDF keeps its floating-point ``U' <= 1`` check ahead of
+        # the exact one, so its verdicts match the closed form.
+        self.edf = edf
+        self.bands: List[_Band] = []
+        start = 0
+        hyperperiod = 1
+        for number, size in enumerate(sizes[:-1], 1):
+            end = start + size
+            if size:
+                hyperperiod = math.lcm(hyperperiod, *self.periods[start:end])
+                self.bands.append(_Band(number, start, end, hyperperiod))
+            start = end
+        self.fp_start = start
+        self.feasible_scale = -1.0
+        self.infeasible_scale = math.inf
+        #: Largest scale each DP band / task has passed at.
+        self.band_passed = [-1.0] * len(self.bands)
+        self.task_passed = [-1.0] * len(tasks)
+        #: Lower bounds on each FP task's response time (0 for DP tasks).
+        self.floors = [0] * len(tasks)
+        #: ``("band", index into bands)`` or ``("task", task index)``.
+        self.failed: Optional[Tuple[str, int]] = None
 
-    # FP band: response-time analysis; every DP task interferes, plus
-    # higher-priority FP tasks.
-    return all(
-        r is not None
-        for r in _fp_response_times(bands[-1], band_costs[-1], interference)
-    )
+    @classmethod
+    def for_edf(
+        cls,
+        workload: Workload,
+        model: OverheadModel = ZERO_OVERHEAD,
+        blocking_factor: float = BLOCKING_FACTOR,
+    ) -> "AnalysisState":
+        """State for :func:`edf_schedulable`: one DP band of every task."""
+        n = len(workload)
+        overhead = edf_overhead_per_period(model, n, blocking_factor)
+        return cls(workload, ("edf", model, blocking_factor), [n, 0], [overhead, 0],
+                   edf=True)
+
+    @classmethod
+    def for_rm(
+        cls,
+        workload: Workload,
+        model: OverheadModel = ZERO_OVERHEAD,
+        blocking_factor: float = BLOCKING_FACTOR,
+        heap: bool = False,
+    ) -> "AnalysisState":
+        """State for :func:`rm_schedulable`: one FP band of every task."""
+        n = len(workload)
+        per_period = _rm_overhead(model, n, blocking_factor, heap)
+        return cls(workload, ("rm", heap, model, blocking_factor), [n], [per_period])
+
+    @classmethod
+    def for_csd(
+        cls,
+        workload: Workload,
+        splits: Sequence[int],
+        model: OverheadModel = ZERO_OVERHEAD,
+        blocking_factor: float = BLOCKING_FACTOR,
+    ) -> "AnalysisState":
+        """State for :func:`csd_schedulable` with the allocation ``splits``."""
+        splits = tuple(splits)
+        sizes = band_sizes_from_splits(len(workload), splits)
+        overheads = [
+            csd_overhead_per_period(model, sizes, k, blocking_factor)
+            for k in range(len(sizes))
+        ]
+        return cls(workload, ("csd", splits, model, blocking_factor), sizes, overheads)
+
+    def check(self, workload: Workload, key: Tuple) -> None:
+        """Raise ``ValueError`` unless the state was built for this test."""
+        if key != self.key or (
+            workload.tasks is not self.tasks and workload.tasks != self.tasks
+        ):
+            raise ValueError(
+                "analysis state was built for another workload, allocation, "
+                "overhead model or blocking factor"
+            )
+
+    @property
+    def critical(self) -> Optional[str]:
+        """The DP band (``"DP<k>"``) or FP task that failed the last
+        tested probe; ``None`` if no tested probe has failed."""
+        if self.failed is None:
+            return None
+        kind, index = self.failed
+        if kind == "band":
+            return f"DP{self.bands[index].number}"
+        return self.tasks[index].name
+
+    def test(self, scale: Optional[float] = None) -> bool:
+        """The verdict at ``scale`` (``None``: the unscaled workload)."""
+        level = 1.0 if scale is None else scale
+        if level < 0:
+            raise ValueError("scale factor must be non-negative")
+        if level <= self.feasible_scale:
+            return True
+        if level >= self.infeasible_scale:
+            return False
+        costs = [
+            max(0, round(w * level)) + o for w, o in zip(self.wcets, self.overheads)
+        ]
+        failed = self._first_failure(costs, level)
+        if failed is None:
+            self.feasible_scale = level
+            return True
+        self.infeasible_scale = level
+        self.failed = failed
+        return False
+
+    def _first_failure(
+        self, costs: List[int], level: float
+    ) -> Optional[Tuple[str, int]]:
+        """The element that fails at ``costs``, or ``None`` (feasible:
+        the response times found become the floors)."""
+        periods, fp_start = self.periods, self.fp_start
+        responses = self.floors[:]
+        for k, passed in enumerate(self.band_passed):
+            if level > passed and not self._band_passes(k, costs, level):
+                return ("band", k)
+        higher = list(zip(periods[:fp_start], costs[:fp_start]))
+        for i in range(fp_start, len(costs)):
+            if level > self.task_passed[i] and not self._task_passes(
+                i, costs, level, responses, higher
+            ):
+                return ("task", i)
+            higher.append((periods[i], costs[i]))
+        self.floors = responses
+        return None
+
+    def _band_passes(self, k: int, costs: List[int], level: float) -> bool:
+        """:func:`_demand_feasible` of DP band ``k``."""
+        periods = self.periods
+        if self.edf and sum(c / p for p, c in zip(periods, costs)) > 1.0:
+            return False
+        _, start, end, hyperperiod = self.bands[k]
+        interference = list(zip(periods[:start], costs[:start]))
+        if not _demand_feasible(
+            self.tasks[start:end], costs[start:end], interference, hyperperiod
+        ):
+            return False
+        self.band_passed[k] = level
+        return True
+
+    def _task_passes(
+        self,
+        i: int,
+        costs: List[int],
+        level: float,
+        responses: List[int],
+        higher: List[Tuple[int, int]],
+    ) -> bool:
+        """Response-time test of FP task ``i`` under ``higher`` (every
+        task before it).  ``responses`` holds lower bounds on this
+        probe's response times; task ``i``'s exact one replaces its
+        entry.  The start is the larger of its floor and ``R_{i-1} +
+        C_i`` (:func:`_fp_response_times`)."""
+        cost = costs[i]
+        start = responses[i]
+        if cost and i > self.fp_start:
+            start = max(start, responses[i - 1] + cost)
+        response = _response_time(cost, self.deadlines[i], higher, start)
+        if response is None:
+            return False
+        responses[i] = response
+        self.task_passed[i] = level
+        return True

@@ -85,9 +85,9 @@ class TaskSpec:
         """
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
-        # Not ``dataclasses.replace``: this runs in the breakdown
-        # search's inner loop, and the constructor (which still
-        # validates) costs a fraction of it.
+        # The breakdown search itself never rebuilds tasks: it probes
+        # through ``AnalysisState`` with ``scale=``, whose costs must
+        # stay these same integers, ``max(0, round(wcet * factor))``.
         return TaskSpec(
             self.name,
             self.period,

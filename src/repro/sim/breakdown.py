@@ -15,12 +15,24 @@ Implementation notes:
 * Under EDF with implicit deadlines the test is ``U' <= 1``, so the
   breakdown utilization has the closed form ``1 - sum(t_i / P_i)``
   (raw utilization plus the overhead utilization must reach exactly 1).
-* RM uses a plain binary search over response-time analysis.
+* RM (and EDF with constrained deadlines) bisects over one
+  :class:`~repro.core.schedulability.AnalysisState`, which answers
+  probes on the known side of an earlier verdict without a test, skips
+  the bands and tasks that passed above the probe, and starts each
+  response-time iteration from the largest feasible probe's fixed point.
 * CSD must maximize over queue allocations as well (the paper's offline
   search).  We search a coarse grid of DP-set sizes with rate-balanced
   inner splits, then refine locally around the best candidate.  The
-  incumbent best scale prunes hard: a candidate allocation is tested
-  once at the incumbent; only improvers pay for a binary search.
+  incumbent best scale prunes hard: a candidate allocation whose
+  ``U' <= 1`` cap cannot beat the incumbent is skipped, and one that
+  fails at the incumbent is dropped; only improvers are bisected.  Each
+  allocation keeps one analysis state for the whole search, so an
+  allocation that comes back (the refinement repeats grid points) costs
+  no test at a scale already decided.
+* Each result names its critical task: the FP task, or ``"DP<k>"`` for
+  a DP band, that failed the winning allocation's last tested probe
+  (none when no probe failed and the answer sits at the allocation's
+  ``U' <= 1`` cap).
 """
 
 from __future__ import annotations
@@ -32,13 +44,9 @@ from repro.core.allocation import balanced_splits
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.schedulability import (
     BLOCKING_FACTOR,
-    band_sizes_from_splits,
-    csd_overhead_per_period,
+    AnalysisState,
     csd_schedulable,
-    edf_overhead_per_period,
     edf_schedulable,
-    heap_overhead_per_period,
-    rm_overhead_per_period,
     rm_schedulable,
 )
 from repro.core.task import Workload
@@ -78,6 +86,10 @@ class BreakdownResult:
     utilization: float
     scale: float
     splits: Optional[Tuple[int, ...]] = None
+    #: The FP task, or ``"DP<k>"`` for a DP band, that failed the
+    #: winning allocation's last tested probe (``None`` if none failed):
+    #: what breaks first just above ``scale``.
+    critical: Optional[str] = None
 
 
 def _search_max_scale(
@@ -104,28 +116,23 @@ def _search_max_scale(
     return lo
 
 
-def _overhead_utilization(workload: Workload, overheads: Sequence[int]) -> float:
-    """Utilization consumed by per-period scheduler overheads."""
-    return sum(o / t.period for o, t in zip(overheads, workload))
-
-
 def _edf_breakdown(
     workload: Workload, model: OverheadModel, blocking_factor: float
 ) -> BreakdownResult:
-    n = len(workload)
     base = workload.utilization
-    overhead = edf_overhead_per_period(model, n, blocking_factor)
-    overhead_util = _overhead_utilization(workload, [overhead] * n)
+    state = AnalysisState.for_edf(workload, model, blocking_factor)
     if all(t.deadline >= t.period for t in workload):
         # Closed form: scale * U_base + U_overhead = 1.
-        utilization = max(0.0, 1.0 - overhead_util)
+        utilization = max(0.0, 1.0 - state.overhead_utilization)
         return BreakdownResult("edf", utilization, utilization / base)
-    hi = max(0.0, (1.0 - overhead_util) / base)
+    hi = max(0.0, (1.0 - state.overhead_utilization) / base)
     scale = _search_max_scale(
-        lambda s: edf_schedulable(workload.scaled(s), model, blocking_factor),
+        lambda s: edf_schedulable(
+            workload, model, blocking_factor, scale=s, state=state
+        ),
         hi=max(hi, _SCALE_TOLERANCE),
     )
-    return BreakdownResult("edf", scale * base, scale)
+    return BreakdownResult("edf", scale * base, scale, critical=state.critical)
 
 
 def _rm_breakdown(
@@ -134,40 +141,17 @@ def _rm_breakdown(
     blocking_factor: float,
     heap: bool,
 ) -> BreakdownResult:
-    n = len(workload)
     base = workload.utilization
-    per = (
-        heap_overhead_per_period(model, n, blocking_factor)
-        if heap
-        else rm_overhead_per_period(model, n, blocking_factor)
-    )
-    overhead_util = _overhead_utilization(workload, [per] * n)
-    hi = max(_SCALE_TOLERANCE, (1.0 - overhead_util) / base)
+    state = AnalysisState.for_rm(workload, model, blocking_factor, heap)
+    hi = max(_SCALE_TOLERANCE, (1.0 - state.overhead_utilization) / base)
     scale = _search_max_scale(
-        lambda s: rm_schedulable(workload.scaled(s), model, blocking_factor, heap=heap),
+        lambda s: rm_schedulable(
+            workload, model, blocking_factor, heap, scale=s, state=state
+        ),
         hi=hi,
     )
     policy = "rm-heap" if heap else "rm"
-    return BreakdownResult(policy, scale * base, scale)
-
-
-def _csd_allocation_cap(
-    workload: Workload,
-    splits: Tuple[int, ...],
-    model: OverheadModel,
-    blocking_factor: float,
-) -> float:
-    """Scale upper bound for one allocation from ``U' <= 1``."""
-    sizes = band_sizes_from_splits(len(workload), splits)
-    overheads: List[int] = []
-    start = 0
-    for k, size in enumerate(sizes):
-        per = csd_overhead_per_period(model, sizes, k, blocking_factor)
-        overheads.extend([per] * size)
-        start += size
-    overhead_util = _overhead_utilization(workload, overheads)
-    base = workload.utilization
-    return max(0.0, (1.0 - overhead_util) / base)
+    return BreakdownResult(policy, scale * base, scale, critical=state.critical)
 
 
 def _csd_breakdown(
@@ -179,13 +163,23 @@ def _csd_breakdown(
     n = len(workload)
     base = workload.utilization
     dp_bands = _dp_bands(policy)
+    # One analysis state per allocation, for the whole search.
+    states: Dict[Tuple[int, ...], AnalysisState] = {}
 
     def feasible(splits: Tuple[int, ...], scale: float) -> bool:
-        return csd_schedulable(workload.scaled(scale), splits, model, blocking_factor)
+        return csd_schedulable(
+            workload, splits, model, blocking_factor, scale=scale, state=states[splits]
+        )
 
     def evaluate(splits: Tuple[int, ...], incumbent: float) -> Optional[float]:
         """Best scale for ``splits`` if it beats ``incumbent``, else None."""
-        cap = _csd_allocation_cap(workload, splits, model, blocking_factor)
+        state = states.get(splits)
+        if state is None:
+            state = states[splits] = AnalysisState.for_csd(
+                workload, splits, model, blocking_factor
+            )
+        # Scale upper bound for the allocation from U' <= 1.
+        cap = max(0.0, (1.0 - state.overhead_utilization) / base)
         if cap - incumbent <= _SCALE_TOLERANCE:
             return None
         probe = incumbent + _SCALE_TOLERANCE if incumbent > 0 else 0.5 / base
@@ -201,7 +195,6 @@ def _csd_breakdown(
                 return None
             return _search_max_scale(lambda s: feasible(splits, s), hi=cap, lo=scale)
         return _search_max_scale(lambda s: feasible(splits, s), hi=cap, lo=probe)
-
     # Coarse grid over DP-set sizes, rate-balanced inner splits.
     if n <= 12:
         grid = list(range(n + 1))
@@ -241,7 +234,8 @@ def _csd_breakdown(
                 best_scale = result
                 best_splits = splits
 
-    return BreakdownResult(policy, best_scale * base, best_scale, best_splits)
+    critical = states[best_splits].critical if best_splits is not None else None
+    return BreakdownResult(policy, best_scale * base, best_scale, best_splits, critical)
 
 
 def breakdown_utilization(

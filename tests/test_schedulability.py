@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.overhead import OverheadModel, ZERO_OVERHEAD
 from repro.core.schedulability import (
+    AnalysisState,
     _demand_feasible,
     _fp_response_times,
     _response_time,
@@ -18,6 +19,7 @@ from repro.core.schedulability import (
     dm_schedulable,
     edf_overhead_per_period,
     edf_schedulable,
+    heap_overhead_per_period,
     rm_overhead_per_period,
     rm_response_times,
     rm_schedulable,
@@ -58,6 +60,16 @@ class TestEDF:
         w = wl((1, 0.999))  # U = 0.999 with a 1 ms period
         assert edf_schedulable(w, ZERO_OVERHEAD)
         assert not edf_schedulable(w, OverheadModel())
+
+    def test_implicit_deadlines_use_exact_utilization(self):
+        # U = 1/P + P/(P + 1) = 1 + 1/(P (P + 1)): the floating-point sum
+        # rounds to exactly 1.0, the exact work over the hyperperiod
+        # exceeds it.
+        period = 10**9
+        w = Workload([TaskSpec("a", period, 1), TaskSpec("b", period + 1, period)])
+        assert sum(t.wcet / t.period for t in w) == 1.0
+        assert not edf_schedulable(w)
+        assert edf_schedulable(w.scaled(0.999))
 
     def test_constrained_deadlines_demand_analysis(self):
         # Two tasks, deadlines well below periods.
@@ -372,3 +384,166 @@ class TestResponseTimes:
             cold.append(_response_time(task.wcet, task.deadline, higher))
             higher.append((task.period, task.wcet))
         assert list(_fp_response_times(tasks, costs, interference)) == cold
+
+
+# ----------------------------------------------------------------------
+# Warm-started probes (AnalysisState) against cold tests
+# ----------------------------------------------------------------------
+
+MODELS = {"ideal": ZERO_OVERHEAD, "mc68040": OverheadModel()}
+
+
+@st.composite
+def probed_allocation(draw):
+    """A workload (raw U = 0.5, so scales up to 2.5 straddle the edge),
+    a policy and allocation, and a rising, falling or mixed sequence of
+    execution-time scales (``None``: bisect over ``[0, 2.5]``)."""
+    n = draw(st.integers(1, 8))
+    constrained = draw(st.booleans())
+    periods = [ms(draw(st.integers(1, 60))) for _ in range(n)]
+    weights = [draw(st.integers(0, 10)) for _ in range(n)]
+    total = sum(weights) or 1
+    tasks = []
+    for i, (period, weight) in enumerate(zip(periods, weights)):
+        deadline = period * draw(st.integers(30, 100)) // 100 if constrained else None
+        wcet = period * weight // (2 * total)
+        tasks.append(TaskSpec(f"t{i}", period=period, wcet=wcet, deadline=deadline))
+    workload = Workload(tasks)
+    policy = draw(st.sampled_from(("edf", "rm", "rm-heap", "csd-2", "csd-3", "csd-4")))
+    splits = None
+    if policy.startswith("csd-"):
+        queues = int(policy[4:])
+        splits = tuple(sorted(draw(st.integers(0, n)) for _ in range(queues - 1)))
+    scales = draw(st.lists(
+        st.floats(0.0, 2.5, allow_nan=False) | st.sampled_from((0.0, 1.0, 2.0)),
+        min_size=1, max_size=12,
+    ))
+    order = draw(st.sampled_from(("rising", "falling", "mixed", "bisection")))
+    if order in ("rising", "falling"):
+        scales.sort(reverse=order == "falling")
+    elif order == "bisection":
+        scales = None  # probes chosen by the verdicts, as in a search
+    model = MODELS[draw(st.sampled_from(sorted(MODELS)))]
+    return workload, policy, splits, scales, model
+
+
+def cold_test(workload, policy, splits, model):
+    """The verdict of a cold test (no state) of ``workload``."""
+    if policy == "edf":
+        return edf_schedulable(workload, model)
+    if policy.startswith("rm"):
+        return rm_schedulable(workload, model, heap=policy == "rm-heap")
+    return csd_schedulable(workload, splits, model)
+
+
+def warm_test(workload, policy, splits, model, scale, state):
+    if policy == "edf":
+        return edf_schedulable(workload, model, scale=scale, state=state)
+    if policy.startswith("rm"):
+        return rm_schedulable(
+            workload, model, heap=policy == "rm-heap", scale=scale, state=state
+        )
+    return csd_schedulable(workload, splits, model, scale=scale, state=state)
+
+
+def new_state(workload, policy, splits, model):
+    if policy == "edf":
+        return AnalysisState.for_edf(workload, model)
+    if policy.startswith("rm"):
+        return AnalysisState.for_rm(workload, model, heap=policy == "rm-heap")
+    return AnalysisState.for_csd(workload, splits, model)
+
+
+def cold_fp_response_times(workload, policy, splits, model):
+    """Cold response times of the FP tasks (all tasks under RM, the FP
+    band under CSD), with costs from the overhead functions."""
+    n = len(workload)
+    if policy.startswith("rm"):
+        per = (heap_overhead_per_period if policy == "rm-heap"
+               else rm_overhead_per_period)(model, n)
+        sizes, overheads = [n], [per]
+    else:
+        sizes = band_sizes_from_splits(n, splits)
+        overheads = [csd_overhead_per_period(model, sizes, k) for k in range(len(sizes))]
+    costs, index = [], 0
+    for size, overhead in zip(sizes, overheads):
+        costs.extend(t.wcet + overhead for t in workload.tasks[index:index + size])
+        index += size
+    fp_start = n - sizes[-1]
+    interference = [(t.period, c) for t, c in zip(workload.tasks[:fp_start], costs)]
+    return fp_start, list(_fp_response_times(
+        workload.tasks[fp_start:], costs[fp_start:], interference
+    ))
+
+
+class TestAnalysisState:
+    @given(probed_allocation())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_warm_probes_equal_cold_tests(self, problem):
+        """Every probe of one state equals a cold test of the scaled
+        workload, and the response-time floors stay lower bounds at the
+        largest feasible scale (a falling sequence never lifts them)."""
+        workload, policy, splits, scales, model = problem
+        state = new_state(workload, policy, splits, model)
+        lo, hi = 0.0, 2.5
+        for step in range(len(scales) if scales is not None else 14):
+            scale = scales[step] if scales is not None else (lo + hi) / 2
+            cold = cold_test(workload.scaled(scale), policy, splits, model)
+            assert warm_test(workload, policy, splits, model, scale, state) == cold
+            lo, hi = (scale, hi) if cold else (lo, scale)
+            if policy == "edf" or state.feasible_scale < 0:
+                continue
+            fp_start, responses = cold_fp_response_times(
+                workload.scaled(state.feasible_scale), policy, splits, model
+            )
+            for floor, response in zip(state.floors[fp_start:], responses):
+                assert response is not None and floor <= response
+
+    def test_unscaled_probe_equals_plain_test(self):
+        w = table2_workload()
+        for policy, splits in (("edf", None), ("rm", None), ("csd-2", (5,)),
+                               ("csd-3", (2, 5))):
+            state = new_state(w, policy, splits, OverheadModel())
+            assert warm_test(w, policy, splits, OverheadModel(), None, state) == \
+                cold_test(w, policy, splits, OverheadModel())
+
+    def test_state_for_another_allocation_raises(self):
+        w = table2_workload()
+        model = OverheadModel()
+        state = AnalysisState.for_csd(w, (5,), model)
+        assert csd_schedulable(w, (5,), model, scale=0.5, state=state)
+        for call in (
+            lambda: csd_schedulable(w, (4,), model, state=state),
+            lambda: csd_schedulable(w, (2, 5), model, state=state),
+            lambda: csd_schedulable(w, (5,), ZERO_OVERHEAD, state=state),
+            lambda: csd_schedulable(w, (5,), model, 1.0, state=state),
+            lambda: csd_schedulable(w.scaled(0.5), (5,), model, state=state),
+            lambda: rm_schedulable(w, model, state=state),
+            lambda: edf_schedulable(w, model, state=state),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        rm_state = AnalysisState.for_rm(w, model)
+        with pytest.raises(ValueError):
+            rm_schedulable(w, model, heap=True, state=rm_state)
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError):
+            rm_schedulable(table2_workload(), scale=-0.1)
+
+    def test_critical_names_the_failed_element(self):
+        w = table2_workload()
+        state = AnalysisState.for_rm(w)
+        assert state.critical is None
+        assert not rm_schedulable(w, state=state)
+        assert state.critical == "tau5"  # Figure 2's troublesome task
+        state = AnalysisState.for_csd(w, (2, 5))
+        assert not csd_schedulable(w, (2, 5), scale=1.2, state=state)
+        assert state.critical == "DP2"
+        # Cold: DP1 (tau1, tau2) meets its deadlines at 1.2, DP2 (tau3..tau5)
+        # under DP1's interference does not.
+        tasks = w.scaled(1.2).tasks
+        costs = [t.wcet for t in tasks]
+        assert _demand_feasible(tasks[:2], costs[:2], [])
+        interference = [(t.period, t.wcet) for t in tasks[:2]]
+        assert not _demand_feasible(tasks[2:5], costs[2:5], interference)
